@@ -27,8 +27,8 @@ from .analysis import (
 from .curve_resolution import NotReduced, resolve_curve_state, resolution_data
 from .errors import TheoremViolation, TopZetaError
 from .polynomial import (
+    germ_factors,
     is_nondegenerate_curve,
-    is_reduced_isolated,
     newton_polygon_local,
     parse_poly,
 )
@@ -75,11 +75,19 @@ def analyze_rd(rd, isolated: str, history=None, b_roots=None):
 
 
 def analyze_poly(text: str, pipeline: str, allow_nonreduced=False, b_roots=None):
-    """Run the requested pipelines on a two-variable polynomial germ."""
+    """Run the requested pipelines on a two-variable polynomial germ given as
+    text; returns the parsed germ and the results."""
     f = parse_poly(text, ["x", "y"])
+    return f, analyze_germ(f, pipeline, allow_nonreduced, b_roots)
+
+
+def analyze_germ(f, pipeline: str, allow_nonreduced=False, b_roots=None):
+    """Run the requested pipelines on a parsed two-variable germ."""
     if f.is_zero() or f.constant_term() != 0:
         raise InputError("input must be a non-zero germ vanishing at the origin")
-    reduced = is_reduced_isolated(f)
+    # one squarefree decomposition serves the reducedness test and the blowups
+    parts = germ_factors(f)
+    reduced = all(m == 1 for _, m in parts)
     if not reduced and not allow_nonreduced:
         raise InputError(
             "germ is not reduced (a repeated factor passes through the origin); "
@@ -90,7 +98,9 @@ def analyze_poly(text: str, pipeline: str, allow_nonreduced=False, b_roots=None)
     results = {}
     for name in wanted:
         if name == "blowup":
-            state = resolve_curve_state(f, allow_nonreduced=allow_nonreduced)
+            state = resolve_curve_state(
+                f, allow_nonreduced=allow_nonreduced, parts=parts
+            )
             rd = resolution_data(state)
             results[name] = analyze_rd(
                 rd, isolated, history=state.numerical_history(), b_roots=b_roots
@@ -100,7 +110,7 @@ def analyze_poly(text: str, pipeline: str, allow_nonreduced=False, b_roots=None)
             results[name] = analyze_rd(rd, isolated, b_roots=b_roots)
         else:
             raise InputError(f"pipeline {name!r} needs --file input")
-    return f, results
+    return results
 
 
 def analyze_file(path: str, assert_isolated=False, b_roots=None):
@@ -234,8 +244,8 @@ def evaluate_entry(entry: dict):
     if "poly" in source:
         f = parse_poly(source["poly"], ["x", "y"])
         pipeline = "both" if is_nondegenerate_curve(f) else "blowup"
-        _, results = analyze_poly(
-            source["poly"],
+        results = analyze_germ(
+            f,
             pipeline,
             allow_nonreduced=entry.get("allow_nonreduced", False),
             b_roots=b_roots,

@@ -2,10 +2,15 @@
 
 The state of a resolution is a worklist of local charts, one per point that
 still violates normal crossings.  A chart is a germ at the origin of local
-coordinates (u, v): the strict transforms of the input's irreducible factors
+coordinates (u, v): the strict transforms of the input's squarefree parts
 together with the exceptional divisors passing through the point, each of
-which is one of the two coordinate axes.  Blowing up the origin of a chart
-produces the two standard charts
+which is one of the two coordinate axes.  A squarefree part may hold several
+branches and a unit cofactor h with h(0) != 0: origin multiplicities add, the
+unit restricts to the constant h(0) on every exceptional curve, and tangent
+branches of one part show up as a repeated root on the new exceptional curve,
+so the point stays pending.
+
+Blowing up the origin of a chart produces the two standard charts
 
     A: (u, v) = (a, a*b)      exceptional {a = 0}, directions b = v/u finite
     B: (u, v) = (a*b, b)      exceptional {b = 0}, the direction u = 0
@@ -45,8 +50,8 @@ class NotReduced(TopZetaError):
 
 @dataclass(frozen=True)
 class ChartFactor:
-    poly: Poly          # strict transform germ, vanishing at the chart origin
-    multiplicity: int   # exponent of this factor in the input
+    poly: Poly          # strict transform of a squarefree part, vanishing at the chart origin
+    multiplicity: int   # exponent of this squarefree part in the input
 
 
 @dataclass(frozen=True)
@@ -357,22 +362,24 @@ class _Resolver:
 # -- public surface -------------------------------------------------------------
 
 
-def initial_state(f: Poly, allow_nonreduced: bool = False) -> BlowupState:
+def initial_state(f: Poly, allow_nonreduced: bool = False, parts=None) -> BlowupState:
     """Set up the origin chart for a two-variable germ and decide whether any
-    blowup is needed at all."""
+    blowup is needed at all.  ``parts`` is ``germ_factors(f)`` when the caller
+    has already computed it."""
     if f.num_vars != 2:
         raise ValueError("resolution needs a 2-variable polynomial")
     if f.is_zero():
         raise NonVanishingAtOrigin("the zero polynomial is not a germ")
     if f.constant_term() != 0:
         raise NonVanishingAtOrigin("germ does not vanish at the origin")
-    factors = germ_factors(f)
-    if not allow_nonreduced and any(m > 1 for _, m in factors):
+    if parts is None:
+        parts = germ_factors(f)
+    if not allow_nonreduced and any(m > 1 for _, m in parts):
         raise NotReduced(
             "germ has a repeated factor through the origin; "
             "pass allow_nonreduced to accept it"
         )
-    chart_factors = tuple(ChartFactor(p, m) for p, m in factors)
+    chart_factors = tuple(ChartFactor(p, m) for p, m in parts)
     mults = [(cf, cf.poly.origin_multiplicity()) for cf in chart_factors]
     pending = _is_pending(mults, 0)
     resolver = _Resolver(BlowupState((), (), (), (), (), next_chart=0))
@@ -396,11 +403,12 @@ def blowup_step(state: BlowupState, center: CenterOrbit) -> BlowupState:
 
 
 def resolve_curve_state(
-    f: Poly, allow_nonreduced: bool = False, max_steps: int = 1000
+    f: Poly, allow_nonreduced: bool = False, max_steps: int = 1000, parts=None
 ) -> BlowupState:
     """Run blowups until the total transform is a simple normal crossings
-    divisor; returns the final state with history and incidence data."""
-    state = initial_state(f, allow_nonreduced)
+    divisor; returns the final state with history and incidence data.
+    ``parts`` is passed on to :func:`initial_state`."""
+    state = initial_state(f, allow_nonreduced, parts)
     steps = 0
     while state.pending_centers:
         if steps >= max_steps:

@@ -558,32 +558,27 @@ def _from_sympy(p) -> Poly:
     return Poly(terms, 2)
 
 
-def irreducible_factors(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor f over Q into irreducibles (constant dropped), in deterministic
-    order.  Conjugate branches stay grouped inside one rational factor."""
-    if f.num_vars != 2:
-        raise ValueError("irreducible_factors needs a 2-variable polynomial")
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    _, factors = _to_sympy(f).factor_list()
-    out = [(_from_sympy(p), int(m)) for p, m in factors]
-    out.sort(key=lambda pm: (pm[1], sorted(pm[0].terms)))
-    return out
-
-
 def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible factors of f that vanish at the origin, with multiplicities.
+    """Squarefree parts of f that vanish at the origin, with their
+    multiplicities, by increasing multiplicity.
 
-    Factors not through the origin are local units and play no role in the germ.
+    The part of multiplicity m is the product of the irreducible factors of f
+    over Q that occur exactly m times (Yun's squarefree decomposition), so it
+    may hold several branches and a unit cofactor h with h(0) != 0.  Parts not
+    through the origin are local units and play no role in the germ.
     """
+    if f.num_vars != 2:
+        raise ValueError("germ_factors needs a 2-variable polynomial")
     _require_local_germ(f)
-    return [(p, m) for p, m in irreducible_factors(f) if p.constant_term() == 0]
+    _, parts = _to_sympy(f).sqf_list()
+    out = [(_from_sympy(p), int(m)) for p, m in parts]
+    return [(p, m) for p, m in out if p.constant_term() == 0]
 
 
 def is_reduced_isolated(f: Poly) -> bool:
     """True iff the germ of f at the origin is reduced (square-free through the
-    origin).  Reduced plane-curve germs automatically have isolated singularities."""
-    if f.num_vars != 2:
-        raise ValueError("is_reduced_isolated needs a 2-variable polynomial")
-    _require_local_germ(f)
+    origin).  Reduced plane-curve germs automatically have isolated singularities.
+
+    A squarefree part vanishes at the origin iff one of its irreducible factors
+    does, so reading reducedness off the parts is exact."""
     return all(m == 1 for _, m in germ_factors(f))

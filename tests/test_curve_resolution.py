@@ -13,6 +13,7 @@ from topzeta.curve_resolution import (
 )
 from topzeta.errors import IrrationalCenter, NonVanishingAtOrigin, UnresolvedState
 from topzeta.polynomial import parse_poly
+from topzeta.toric_curve import toric_resolution_data
 from topzeta.zeta_core import RationalFunction, lct_local, poles, zeta_local
 
 
@@ -362,3 +363,42 @@ def test_blowup_step_requires_pending_center():
     stranger = CenterOrbit(chart_id=99, degree=1, description="nowhere")
     with pytest.raises(ValueError):
         blowup_step(state, stranger)
+
+
+# -- squarefree parts as chart factors ------------------------------------------------
+
+def test_ordinary_200_fold_point_closed_form():
+    # one blowup; E1 has (N, nu) = (a, 2) and meets the a branches, so
+    # Z = (2 - a)/(2 + a s) + a/((1 + s)(2 + a s))
+    a = 200
+    f = P(f"x^{a} + y^{a}")
+    z = zeta_local(resolve_curve_germ(f))
+    assert z == RationalFunction((2, 2 - a), (2, 2 + a, a))
+    assert z == zeta_local(toric_resolution_data(f))
+
+
+@pytest.mark.parametrize("text", [
+    "(x^2-y^3)*(x^3-y^5)*(x^5-y^7)*(x^7-y^11)*(x^11-y^13)*(x-y^17)",
+    "x^24 - y^36",
+    # two tangent rational branches inside one squarefree part
+    "y^2 - x^4",
+])
+def test_many_branch_germs_blowup_matches_toric(text):
+    f = P(text)
+    assert zeta_local(resolve_curve_germ(f)) == zeta_local(toric_resolution_data(f))
+
+
+def test_unit_inside_a_part_leaves_zeta_unchanged():
+    z = zeta_local(resolve_curve_germ(P("(x^2 - y^3)*(1 + x + y)")))
+    assert z == zeta_local(resolve_curve_germ(P("x^2 - y^3")))
+
+
+def test_tangent_branches_of_a_repeated_part():
+    # x*(y - x^2)^2*(y + x^2)^2: E1 = (5, 2) meets the line x = 0 and E2;
+    # E2 = (9, 3) meets the two branches of multiplicity 2 transversally, so
+    # Z = -1/(3+9s) + 1/((2+5s)(3+9s)) + 1/((2+5s)(1+s)) + 2/((3+9s)(1+2s)).
+    # The toric pipeline rejects this germ as degenerate.
+    state = resolve_curve_state(P("x*(y^2 - x^4)^2"), allow_nonreduced=True)
+    assert state.numerical_history() == [(5, 2), (9, 3)]
+    z = zeta_local(resolution_data(state))
+    assert z == RationalFunction((3, 3, -2), (3, 18, 33, 18))

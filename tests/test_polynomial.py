@@ -21,7 +21,6 @@ from topzeta.polynomial import (
     newton_polygon_local,
     parse_poly,
     segment_face_coeffs,
-    irreducible_factors,
 )
 
 
@@ -260,19 +259,19 @@ def test_reduced_ignores_units():
     assert is_reduced_isolated(P("x^2*(1+x)")) is False
 
 
-def test_irreducible_factors():
+def test_germ_factors_multiplicities():
     f = P("x^2*y")
-    assert sorted((p.to_text(), m) for p, m in irreducible_factors(f)) == [
-        ("x", 2), ("y", 1)
-    ]
+    assert [(p.to_text(), m) for p, m in germ_factors(f)] == [("y", 1), ("x", 2)]
     g = P("x*(x+y)^2")
     facs = germ_factors(g)
     assert sorted((p.to_text(), m) for p, m in facs) == [("x", 1), ("x + y", 2)]
 
 
-def test_germ_factors_drop_units():
-    facs = germ_factors(P("x*(1+x+y)"))
-    assert len(facs) == 1 and facs[0][0] == P("x") and facs[0][1] == 1
+def test_germ_factors_keep_units_inside_parts():
+    # a squarefree part is not split further: the unit 1+x+y stays with x,
+    # while a part that does not vanish at the origin is dropped
+    assert germ_factors(P("x*(1+x+y)")) == [(P("x*(1+x+y)"), 1)]
+    assert germ_factors(P("x*(1+y)^2")) == [(P("x"), 1)]
 
 
 def test_segment_face_coeffs():
