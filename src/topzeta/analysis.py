@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import unipoly
 from .errors import TheoremViolation
 from .zeta_core import PoleTable, RationalFunction, ResolutionData, lct_local
 
@@ -281,13 +280,10 @@ def check_conjecture2(z: RationalFunction, b_roots) -> bool:
     mults = {}
     for root, mult in b_roots:
         mults[Fraction(root)] = mults.get(Fraction(root), 0) + int(mult)
-    remaining = unipoly.make(z.den)
-    for root, mult in mults.items():
-        for _ in range(mult):
-            quotient, rem = unipoly.divmod_poly(remaining, (-root, Fraction(1)))
-            if rem:
-                break
-            remaining = quotient
-    # z has no pole outside b's roots and orders within multiplicity
-    # iff the denominator is exhausted up to a constant
-    return unipoly.degree(remaining) <= 0
+    # the distinct roots' linear factors are coprime, so b cancels
+    # min(order, multiplicity) of each; z has no pole outside b's roots and
+    # orders within multiplicity iff that uses up the whole denominator
+    covered = sum(
+        min(z.pole_order(root), mult) for root, mult in mults.items() if mult > 0
+    )
+    return covered == len(z.den) - 1

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import formats
@@ -36,7 +34,6 @@ from .toric_curve import dual_fan, toric_resolution_data, unimodular_subdivide
 from .zeta_core import lct_global, lct_local, poles, zeta_global, zeta_local
 
 DEFAULT_CORPUS = "data/corpus.json"
-JOBS_ENV = "TOPZETA_JOBS"
 
 
 class InputError(TopZetaError):
@@ -308,16 +305,10 @@ def cmd_corpus(args) -> int:
         print(f"blessed {len(entries)} entries into {path}")
         return 0
 
-    jobs = max(1, int(os.environ.get(JOBS_ENV, "1")))
-    if jobs > 1 and entries:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(check_entry, entries))
-    else:
-        outcomes = [check_entry(entry) for entry in entries]
-
     results = []
     passed = 0
-    for entry, mismatches in zip(entries, outcomes):
+    for entry in entries:
+        mismatches = check_entry(entry)
         status = "pass" if not mismatches else "fail"
         passed += status == "pass"
         results.append(

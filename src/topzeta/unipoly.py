@@ -114,17 +114,6 @@ def squarefree_part(p: Coeffs) -> Coeffs:
     return monic(divmod_poly(p, gcd(p, derivative(p)))[0])
 
 
-def root_multiplicity(p: Coeffs, r) -> int:
-    """Multiplicity of the rational number r as a root of p (0 if not a root)."""
-    r = Fraction(r)
-    mult = 0
-    while p and evaluate(p, r) == 0:
-        p, rem = divmod_poly(p, (-r, Fraction(1)))
-        assert not rem
-        mult += 1
-    return mult
-
-
 def strip_origin_root(p: Coeffs) -> Coeffs:
     """Divide out the highest power of t, leaving a poly with non-zero constant term."""
     k = 0

@@ -9,13 +9,21 @@ characteristics.  The local zeta function is
 the global one uses the plain Euler characteristics.  All arithmetic is exact;
 rational functions are kept in a unique canonical form so equality of values
 is equality of representations.
+
+Every factor nu_i + N_i s is g_i times the primitive linear form
+(nu_i/g_i) + (N_i/g_i) s with g_i = gcd(nu_i, N_i), so the sum is carried in
+integers over a denominator kept factored into those forms.  Cancelling a form
+is an exact integer division, and the running sum reaches lowest terms
+without any polynomial gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 
 from . import unipoly
 from .errors import InvalidResolutionData, NoQualifyingComponent
@@ -146,6 +154,15 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
+    def _from_canonical(cls, num: tuple, den: tuple) -> "RationalFunction":
+        """Wrap integer tuples that are already in canonical form, skipping
+        the gcd and normalisation of the public constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
     def zero(cls) -> "RationalFunction":
         return cls((0,), (1,))
 
@@ -191,7 +208,14 @@ class RationalFunction:
         return unipoly.evaluate(unipoly.make(self.num), x) / denom
 
     def pole_order(self, location) -> int:
-        return unipoly.root_multiplicity(unipoly.make(self.den), location)
+        """Multiplicity of the rational ``location`` as a root of the
+        denominator, found by exact integer division by its primitive form."""
+        loc = Fraction(location)
+        form = (-loc.numerator, loc.denominator)
+        den, order = self.den, 0
+        while (den := _divide_form(den, form)) is not None:
+            order += 1
+        return order
 
     def __repr__(self):
         return f"RationalFunction({_poly_text(self.num)!r}, {_poly_text(self.den)!r})"
@@ -200,6 +224,33 @@ class RationalFunction:
         if self.den == (1,):
             return _poly_text(self.num)
         return f"({_poly_text(self.num)}) / ({_poly_text(self.den)})"
+
+
+def _times_form(p: list, form: tuple, times: int) -> list:
+    """p * (a + b s)^times on integer coefficient lists, ascending degree."""
+    a, b = form
+    for _ in range(times):
+        out = [a * c for c in p] + [0]
+        for i, c in enumerate(p):
+            out[i + 1] += b * c
+        p = out
+    return p
+
+
+def _divide_form(p, form: tuple):
+    """Quotient of the non-zero integer polynomial p by the primitive form
+    a + b s (b > 0), or None if the form does not divide p.  By Gauss's lemma
+    the quotient of an exact division is integral, so a non-zero remainder
+    modulo b at any step already proves that the form does not divide p."""
+    a, b = form
+    quo = [0] * (len(p) - 1)
+    rem = p[-1]
+    for k in range(len(p) - 2, -1, -1):
+        quo[k], r = divmod(rem, b)
+        if r:
+            return None
+        rem = p[k] - a * quo[k]
+    return None if rem else quo
 
 
 def _poly_text(coeffs) -> str:
@@ -266,22 +317,72 @@ class PoleTable:
 
 
 def _zeta(rd: ResolutionData, use_origin: bool) -> RationalFunction:
+    """Sum chi(E_I) / prod_{i in I} (nu_i + N_i s) over the strata.
+
+    The running sum is num / (scale * prod_f f^exps[f]) with integer
+    coefficients num, a positive integer scale and f the primitive forms of
+    the components.  A stratum raises each exponent to its own multiplicity of
+    the form and scale to the lcm with its product of g_i, cross-multiplies the
+    two numerators by the missing powers, then cancels: a form of the stratum
+    is divided out of num while it divides exactly, and num and scale lose
+    their joint content.  A form outside the stratum divides the new term
+    but not the old numerator, so it cannot divide the sum.  The only
+    irreducible factors of the denominator are the forms, so every partial
+    sum is kept in lowest terms and in canonical form; its degree stays that
+    of the reduced partial sum, whatever the order of the strata.
+    """
     rd.validate()
-    by_id = {c.id: c for c in rd.components}
-    total = RationalFunction.constant(
-        rd.empty_chi_origin if use_origin else rd.empty_chi_total
-    )
+    forms = {}
+    for c in rd.components:
+        g = _int_gcd(c.nu, c.N)
+        forms[c.id] = (g, (c.nu // g, c.N // g))
+    constant = rd.empty_chi_origin if use_origin else rd.empty_chi_total
+    num = [constant] if constant else []
+    scale, exps = 1, {}
     for st in rd.strata:
         chi = st.chi_origin if use_origin else st.chi_total
         if chi == 0:
             continue
-        num = (Fraction(chi),)
-        den = (Fraction(1),)
-        for cid in sorted(st.ids):
-            comp = by_id[cid]
-            den = unipoly.mul(den, (Fraction(comp.nu), Fraction(comp.N)))
-        total = total + RationalFunction(num, den)
-    return total
+        g_prod, mults = 1, {}
+        for cid in st.ids:
+            g, form = forms[cid]
+            g_prod *= g
+            mults[form] = mults.get(form, 0) + 1
+        new_scale = _int_lcm(scale, g_prod)
+        old = [c * (new_scale // scale) for c in num]
+        term = [chi * (new_scale // g_prod)]
+        for form, e in exps.items():
+            m = mults.get(form, 0)
+            if e > m:
+                term = _times_form(term, form, e - m)
+        for form, m in mults.items():
+            e = exps.get(form, 0)
+            if m > e:
+                old = _times_form(old, form, m - e)
+                exps[form] = m
+        num = [x + y for x, y in zip_longest(old, term, fillvalue=0)]
+        while num and num[-1] == 0:
+            num.pop()
+        scale = new_scale
+        if not num:
+            scale, exps = 1, {}
+            continue
+        for form in mults:
+            while exps[form] and (quo := _divide_form(num, form)) is not None:
+                num = quo
+                exps[form] -= 1
+            if not exps[form]:
+                del exps[form]
+        content = _int_gcd(scale, *num)
+        if content > 1:
+            num = [c // content for c in num]
+            scale //= content
+    if not num:
+        return RationalFunction.zero()
+    den = [scale]
+    for form, e in exps.items():
+        den = _times_form(den, form, e)
+    return RationalFunction._from_canonical(tuple(num), tuple(den))
 
 
 def zeta_local(rd: ResolutionData) -> RationalFunction:

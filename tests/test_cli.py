@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -178,17 +177,6 @@ def test_bundled_corpus_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["total"] >= 70 and doc["passed"] == doc["total"]
-
-
-def test_corpus_parallel_matches_serial(capsys):
-    code, serial, _ = run(capsys, "corpus", "--format", "machine")
-    assert code == 0
-    os.environ["TOPZETA_JOBS"] = "4"
-    try:
-        code, parallel, _ = run(capsys, "corpus", "--format", "machine")
-    finally:
-        del os.environ["TOPZETA_JOBS"]
-    assert code == 0 and parallel == serial
 
 
 def test_corrupted_corpus_fails(tmp_path, capsys):

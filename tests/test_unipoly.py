@@ -33,13 +33,6 @@ def test_squarefree_part():
     assert up.squarefree_part(sq) == up.monic(up.mul(up.make([-1, 1]), up.make([1, 1])))
 
 
-def test_root_multiplicity():
-    p = up.mul(up.mul(up.make([Fraction(-1, 2), 1]), up.make([Fraction(-1, 2), 1])), up.make([1, 1]))
-    assert up.root_multiplicity(p, Fraction(1, 2)) == 2
-    assert up.root_multiplicity(p, -1) == 1
-    assert up.root_multiplicity(p, 7) == 0
-
-
 def test_to_integer_primitive_positive_lead():
     assert up.to_integer(up.make([Fraction(1, 2), Fraction(-3, 4)])) == (-2, 3)
     assert up.to_integer(()) == ()

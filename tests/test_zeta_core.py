@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topzeta.curve_resolution import resolve_curve_germ
 from topzeta.errors import InvalidResolutionData, NoQualifyingComponent
+from topzeta.polynomial import parse_poly
+from topzeta.toric_curve import toric_resolution_data
 from topzeta.zeta_core import (
     Component,
     PoleTable,
@@ -40,6 +45,27 @@ def sympy_zeta(rd, use_origin=True):
     num = sympy.Poly(num, _s)
     den = sympy.Poly(den, _s)
     return num, den
+
+
+def reference_zeta(rd):
+    """The defining sum folded one stratum at a time through
+    ``RationalFunction.__add__``, which reduces by a polynomial gcd after
+    every addition."""
+    use_origin = rd.scope == "local"
+    by_id = {c.id: c for c in rd.components}
+    total = RationalFunction.constant(
+        rd.empty_chi_origin if use_origin else rd.empty_chi_total
+    )
+    for stratum in rd.strata:
+        chi = stratum.chi_origin if use_origin else stratum.chi_total
+        if chi == 0:
+            continue
+        term = RationalFunction.constant(chi)
+        for cid in stratum.ids:
+            comp = by_id[cid]
+            term = term * RationalFunction((1,), (comp.nu, comp.N))
+        total = total + term
+    return total
 
 
 def assert_matches_sympy(z, rd, use_origin=True):
@@ -250,6 +276,16 @@ def test_pole_cancellation_is_honored():
     assert [(p.location, p.order) for p in pt] == [(Fraction(-2), 1)]
 
 
+def test_pole_order_counts_root_multiplicity():
+    # (2s - 1)^2 (s + 1) = 4s^3 - 3s + 1
+    z = RationalFunction((1,), (1, -3, 0, 4))
+    assert z.pole_order(Fraction(1, 2)) == 2
+    assert z.pole_order(-1) == 1
+    assert z.pole_order(7) == 0
+    assert z.pole_order(0) == 0
+    assert RationalFunction.constant(3).pole_order(-1) == 0
+
+
 def test_pole_table_sorted_closest_first():
     pt = PoleTable([(Fraction(-1), 1), (Fraction(-5, 6), 1), (Fraction(-7, 6), 2)])
     assert [p.location for p in pt] == [
@@ -323,7 +359,7 @@ def test_validation_errors():
 
 
 @st.composite
-def random_resolution_data(draw):
+def random_resolution_data(draw, scope="local"):
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 4))
     comps = tuple(
@@ -340,8 +376,12 @@ def random_resolution_data(draw):
             continue
         seen.add(members)
         chi = draw(st.integers(-3, 3))
-        strata.append(Stratum(members, chi, chi))
-    return ResolutionData(n, comps, tuple(strata))
+        strata.append(Stratum(members, chi, chi if scope == "local" else 0))
+    if scope == "local":
+        return ResolutionData(n, comps, tuple(strata))
+    return ResolutionData(
+        n, comps, tuple(strata), empty_chi_total=draw(st.integers(-3, 3)), scope="global"
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,3 +395,118 @@ def test_random_data_matches_sympy_oracle(rd):
     for p in pt:
         assert p.location in candidates
         assert p.order <= rd.ambient_dim
+
+
+def zeta_of(rd):
+    return zeta_local(rd) if rd.scope == "local" else zeta_global(rd)
+
+
+def shuffled(rd, rnd):
+    strata = list(rd.strata)
+    rnd.shuffle(strata)
+    return replace(rd, strata=tuple(strata))
+
+
+@st.composite
+def subdivided_resolution_data(draw, scope="local"):
+    """A pair (random data, the same data after up to four subdivisions).
+
+    A subdivision picks two components A, B of some stratum, adds E with
+    (N, nu) = (N_A + N_B, nu_A + nu_B), and replaces every stratum S that
+    contains A and B by S - {B} + {E} and S - {A} + {E}.  With a = nu_A + N_A s
+    and b = nu_B + N_B s, 1/(ab) = 1/(a(a+b)) + 1/(b(a+b)), so Z is unchanged
+    and the sum must cancel E's candidate pole, unless another component
+    shares E's form.  Random data alone almost never makes the sum cancel
+    a form."""
+    rd = draw(random_resolution_data(scope))
+    out = rd
+    for k in range(draw(st.integers(0, 4))):
+        pairs = [st_.ids for st_ in out.strata if len(st_.ids) >= 2]
+        if not pairs:
+            break
+        a_id, b_id = draw(st.permutations(sorted(draw(st.sampled_from(pairs)))))[:2]
+        a, b = out.component(a_id), out.component(b_id)
+        e = Component(f"E{k}", a.N + b.N, a.nu + b.nu)
+        strata = []
+        for st_ in out.strata:
+            if {a_id, b_id} <= st_.ids:
+                strata.append(replace(st_, ids=st_.ids - {b_id} | {e.id}))
+                strata.append(replace(st_, ids=st_.ids - {a_id} | {e.id}))
+            else:
+                strata.append(st_)
+        out = replace(out, components=out.components + (e,), strata=tuple(strata))
+    return rd, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(("local", "global")).flatmap(subdivided_resolution_data),
+    st.randoms(use_true_random=False),
+)
+def test_factored_sum_matches_reference_fold(pair, rnd):
+    original, rd = pair
+    z = zeta_of(rd)
+    ref = reference_zeta(rd)
+    assert (z.num, z.den) == (ref.num, ref.den)
+    assert z == zeta_of(original)
+    # the order of the strata does not matter
+    again = zeta_of(shuffled(rd, rnd))
+    assert (again.num, again.den) == (z.num, z.den)
+    # the pair handed to the trusted constructor is already canonical
+    recanonical = RationalFunction(z.num, z.den)
+    assert (recanonical.num, recanonical.den) == (z.num, z.den)
+
+
+# -- sums that a gcd after every stratum made slow ---------------------------------
+
+def product_data(factors):
+    """Resolution data of f_1(x_1) ... f_k(x_k) from resolutions of the
+    factors: components side by side, strata the products of the factors'
+    strata (the empty one included) with Euler characteristics multiplied."""
+    comps, terms = [], [(frozenset(), 1)]
+    for k, rd in enumerate(factors):
+        tag = f"f{k + 1}."
+        comps += [replace(c, id=tag + c.id) for c in rd.components]
+        own = [(frozenset(), rd.empty_chi_origin)] + [(st.ids, st.chi_origin) for st in rd.strata]
+        terms = [
+            (ids | {tag + i for i in other}, chi * c)
+            for ids, chi in terms
+            for other, c in own
+            if chi * c
+        ]
+    empty = sum(chi for ids, chi in terms if not ids)
+    strata = tuple(Stratum(ids, chi, chi) for ids, chi in terms if ids)
+    dim = sum(rd.ambient_dim for rd in factors)
+    return ResolutionData(dim, tuple(comps), strata, empty_chi_origin=empty)
+
+
+@settings(max_examples=40, deadline=None)
+@given(subdivided_resolution_data(), subdivided_resolution_data())
+def test_factored_sum_of_product_data(first, second):
+    # forms shared by the factors make one stratum cancel a power of a form
+    rd = product_data([first[1], second[1]])
+    z = zeta_local(rd)
+    assert z == zeta_local(first[0]) * zeta_local(second[0])
+    ref = reference_zeta(rd)
+    assert (z.num, z.den) == (ref.num, ref.den)
+
+
+def test_product_of_three_germs_is_product_of_zetas():
+    factors = [
+        resolve_curve_germ(parse_poly(text, ["x", "y"]))
+        for text in ("(x^2-y^3)*(x^3-y^2)", "(x^2-y^5)*(x^5-y^2)", "x^7+y^11")
+    ]
+    rd = product_data(factors)
+    assert len(rd.strata) == 1080
+    expect = zeta_local(factors[0]) * zeta_local(factors[1]) * zeta_local(factors[2])
+    assert zeta_local(rd) == expect
+    assert zeta_local(shuffled(rd, random.Random(0))) == expect
+
+
+def test_brieskorn_2000_3_blowup_toric_closed_form():
+    # Z(x^a + y^b) with gcd(a, b) = 1 is ((a+b-1)s + a+b) / ((s+1)(ab s + a+b))
+    a, b = 2000, 3
+    f = parse_poly(f"x^{a}+y^{b}", ["x", "y"])
+    expect = RationalFunction((a + b, a + b - 1), (a + b, a * b + a + b, a * b))
+    assert zeta_local(resolve_curve_germ(f)) == expect
+    assert zeta_local(toric_resolution_data(f)) == expect
