@@ -22,7 +22,7 @@ from .analysis import (
     max_order_pole_report,
     monodromy_eigenvalues_germ,
 )
-from .curve_resolution import NotReduced, resolve_curve_state, resolution_data
+from .curve_resolution import resolve_curve_state, resolution_data
 from .errors import TheoremViolation, TopZetaError
 from .polynomial import (
     germ_factors,
@@ -472,9 +472,6 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
         return 2
-    except NotReduced as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (TopZetaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-import sympy
+from math import gcd
 
 from . import unipoly
 from .errors import (
-    Degenerate,
     FaceMismatch,
     NonVanishingAtOrigin,
     ParseError,
@@ -411,8 +409,6 @@ class Face:
         if self.kind == "vertex":
             return list(self.points)
         (x1, y1), (x2, y2) = self.points
-        from math import gcd
-
         g = gcd(abs(x2 - x1), abs(y2 - y1))
         dx, dy = (x2 - x1) // g, (y2 - y1) // g
         return [(x1 + j * dx, y1 + j * dy) for j in range(g + 1)]
@@ -480,8 +476,6 @@ def newton_polygon_local(f: Poly) -> NewtonPolygon:
                 break
         chain.append(p)
     faces = [Face("vertex", [v]) for v in chain]
-    from math import gcd
-
     for p, q in zip(chain, chain[1:]):
         a, b = q[1] - p[1], p[0] - q[0]  # inner normal; both positive on this chain
         g = gcd(a, b)
@@ -530,32 +524,79 @@ def is_nondegenerate_curve(f: Poly) -> bool:
     return True
 
 
-def require_nondegenerate(f: Poly):
-    if not is_nondegenerate_curve(f):
-        raise Degenerate("germ is degenerate with respect to its Newton polygon")
-
-
 # -- reducedness and square-free structure ----------------------------------
-
-_SYM_XY = sympy.symbols("x y")
-
-
-def _to_sympy(f: Poly):
-    x, y = _SYM_XY
-    return sympy.Poly(
-        {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()},
-        x,
-        y,
-        domain="QQ",
-    )
+#
+# Z[x][y] is held as lists over the power of y of unipoly's integer
+# polynomials in x, with no trailing zeros.
 
 
-def _from_sympy(p) -> Poly:
-    terms = {}
-    for monom, coeff in p.terms():
-        c = sympy.Rational(coeff)
-        terms[tuple(int(m) for m in monom)] = Fraction(int(c.p), int(c.q))
-    return Poly(terms, 2)
+def _zx_sub(a: list, b: list) -> list:
+    out = [
+        unipoly.zz_sub(a[j] if j < len(a) else [], b[j] if j < len(b) else [])
+        for j in range(max(len(a), len(b)))
+    ]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_derivative(a: list) -> list:
+    """d/dy."""
+    return [[k * c for c in co] for k, co in enumerate(a)][1:]
+
+
+def _zx_divexact(a: list, b: list):
+    """a / b in Z[x][y] if b divides a there, else None; b must be non-zero."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    r, lead = list(a), b[-1]
+    q = [[]] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = unipoly.zz_divexact(r[i + db], lead)
+        if c is None:
+            return None
+        q[i] = c
+        if c:
+            for j in range(db):
+                r[i + j] = unipoly.zz_sub(r[i + j], unipoly.zz_mul(c, b[j]))
+    return None if any(r[:db]) else q
+
+
+def _zx_gcd(a: list, b: list) -> tuple[list, list, list]:
+    """(h, a/h, b/h) with h = gcd(a, b) in Z[x][y].
+
+    Heuristic gcd (Char-Geddes-Gonnet, J. Symbolic Comput. 7, 1989): the
+    univariate gcd of a(xi, y) and b(xi, y), with each coefficient read back
+    in base xi, is the gcd once its primitive part divides a and b and xi
+    exceeds twice the smaller coefficient norm.  Candidates are verified by
+    exact division and xi grows until one passes."""
+    if not a or not b:
+        h = a or b
+        sign = -1 if h and h[-1][-1] < 0 else 1
+        return [[sign * v for v in co] for co in h], ([[sign]] if a else []), ([[sign]] if b else [])
+    ca = unipoly.zz_content([v for co in a for v in co])
+    cb = unipoly.zz_content([v for co in b for v in co])
+    c = gcd(ca, cb)
+    pa = [[v // ca for v in co] for co in a]
+    pb = [[v // cb for v in co] for co in b]
+    xi = 2 * min(max(abs(v) for co in p for v in co) for p in (pa, pb)) + 29
+    while True:
+        image, _, _ = unipoly.zz_gcd(
+            [unipoly.zz_eval(co, xi) for co in pa], [unipoly.zz_eval(co, xi) for co in pb]
+        )
+        h = [unipoly.zz_interpolate(v, xi) for v in image]
+        g = unipoly.zz_content([v for co in h for v in co])
+        h = [[v // g for v in co] for co in h]
+        qa = _zx_divexact(pa, h)
+        qb = _zx_divexact(pb, h) if qa is not None else None
+        if qb is not None:
+            return (
+                [[c * v for v in co] for co in h],
+                [[v * ca // c for v in co] for co in qa],
+                [[v * cb // c for v in co] for co in qb],
+            )
+        xi = unipoly.next_xi(xi)
 
 
 def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
@@ -566,13 +607,37 @@ def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
     over Q that occur exactly m times (Yun's squarefree decomposition), so it
     may hold several branches and a unit cofactor h with h(0) != 0.  Parts not
     through the origin are local units and play no role in the germ.
+
+    f is taken to Z[x][y]; its content in Z[x] is decomposed by univariate
+    Yun, its primitive part by Yun over Z[x][y] with heuristic gcds, and the
+    content's part of multiplicity m joins the primitive part's of the same
+    multiplicity.  Parts are primitive over Z, so they equal the parts over Q
+    up to a constant factor.
     """
     if f.num_vars != 2:
         raise ValueError("germ_factors needs a 2-variable polynomial")
     _require_local_germ(f)
-    _, parts = _to_sympy(f).sqf_list()
-    out = [(_from_sympy(p), int(m)) for p, m in parts]
-    return [(p, m) for p, m in out if p.constant_term() == 0]
+    ints = dict(zip(f.terms, unipoly.to_integer(tuple(f.terms.values()))))
+    width = {}
+    for i, j in ints:
+        width[j] = max(width.get(j, 0), i + 1)
+    rows = [[0] * width.get(j, 0) for j in range(1 + max(width))]
+    for (i, j), c in ints.items():
+        rows[j][i] = c
+    content = []
+    for co in rows:
+        content = unipoly.zz_gcd(content, co)[0]
+    primitive = [unipoly.zz_divexact(co, content) for co in rows]
+    parts = {m: [a] for a, m in unipoly.yun(content)}
+    for a, m in unipoly.yun(primitive, _zx_gcd, _zx_derivative, _zx_sub):
+        parts[m] = [unipoly.zz_mul(co, parts[m][0]) for co in a] if m in parts else a
+    out = []
+    for m in sorted(parts):
+        part = parts[m]
+        if not part[0] or not part[0][0]:  # vanishes at the origin
+            terms = {(i, j): Fraction(c) for j, co in enumerate(part) for i, c in enumerate(co) if c}
+            out.append((Poly(terms, 2), m))
+    return out
 
 
 def is_reduced_isolated(f: Poly) -> bool:

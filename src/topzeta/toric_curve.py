@@ -14,7 +14,6 @@ finite exact computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import unipoly
 from .errors import Degenerate
@@ -52,11 +51,6 @@ class Fan2D:
 
     def is_unimodular(self) -> bool:
         return all(d == 1 for d in self.determinants())
-
-
-def _primitive(v):
-    g = gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g)
 
 
 def _value(vector, vertices) -> int:

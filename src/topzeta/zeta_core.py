@@ -72,13 +72,13 @@ class ResolutionData:
             raise InvalidResolutionData("ambient_dim must be positive")
         if self.scope not in ("local", "global"):
             raise InvalidResolutionData(f"unknown scope {self.scope!r}")
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
+        ids = {c.id for c in self.components}
+        if len(ids) != len(self.components):
             raise InvalidResolutionData("component ids must be unique")
-        by_id = {c.id: c for c in self.components}
         for c in self.components:
             if c.N < 1 or c.nu < 1:
                 raise InvalidResolutionData(f"component {c.id}: N and nu must be >= 1")
+        off_fiber = {c.id for c in self.components if not c.meets_origin_fiber}
         seen = set()
         for st in self.strata:
             if not st.ids:
@@ -86,17 +86,17 @@ class ResolutionData:
             if st.ids in seen:
                 raise InvalidResolutionData(f"duplicate stratum {sorted(st.ids)}")
             seen.add(st.ids)
-            if not st.ids <= set(ids):
+            if not st.ids <= ids:
                 raise InvalidResolutionData(f"stratum {sorted(st.ids)} names unknown components")
             if len(st.ids) > self.ambient_dim:
                 raise InvalidResolutionData(
                     f"stratum {sorted(st.ids)} has more than ambient_dim components"
                 )
-            if st.chi_origin != 0 and any(not by_id[i].meets_origin_fiber for i in st.ids):
+            if st.chi_origin != 0 and not st.ids.isdisjoint(off_fiber):
                 raise InvalidResolutionData(
                     f"stratum {sorted(st.ids)} has chi_origin != 0 off the origin fiber"
                 )
-        if not set(self.branch_ids) <= set(ids):
+        if not ids.issuperset(self.branch_ids):
             raise InvalidResolutionData("branch_ids names unknown components")
 
     def component(self, cid: str) -> Component:
@@ -309,9 +309,6 @@ class PoleTable:
     def closest_to_origin(self):
         return self.entries[0] if self.entries else None
 
-    def max_order(self) -> int:
-        return max((p.order for p in self.entries), default=0)
-
     def of_order(self, n: int):
         return [p for p in self.entries if p.order == n]
 
@@ -331,7 +328,6 @@ def _zeta(rd: ResolutionData, use_origin: bool) -> RationalFunction:
     sum is kept in lowest terms and in canonical form; its degree stays that
     of the reduced partial sum, whatever the order of the strata.
     """
-    rd.validate()
     forms = {}
     for c in rd.components:
         g = _int_gcd(c.nu, c.N)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,3 +243,27 @@ def test_explain_smooth(capsys):
 def test_parser_rejects_unknown_pipeline():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["zeta", "--poly", "x", "--pipeline", "nope"])
+
+
+def test_cli_runs_without_sympy():
+    # every subcommand factors with topzeta's own integer code
+    script = f"""
+import contextlib, io, sys
+from topzeta.cli import main
+runs = (
+    ["zeta", "--poly", "(x^2-y^3)*(x^3-y^2)*(x^4+y^5)"],
+    ["zeta", "--file", {str(RESOLUTIONS / "cusp_global.json")!r}, "--scope", "global"],
+    ["explain", "--poly", "x^4-y^6+x^5"],
+    ["corpus", "--format", "machine"],
+)
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert "sympy" not in sys.modules
+"""
+    src = str(Path(__import__("topzeta").__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,3 +282,59 @@ def test_segment_face_coeffs():
     g = P("x^2 + 2*x*y + y^2")
     seg = newton_polygon_local(g).segments()[0]
     assert segment_face_coeffs(g, seg) == up.make([1, 2, 1])
+
+
+def up_to_constant(parts):
+    """Parts scaled to leading coefficient 1 in (y, x)-lex order."""
+    out = []
+    for p, m in parts:
+        lead = p.terms[max(p.terms, key=lambda e: (e[1], e[0]))]
+        out.append(({e: c / lead for e, c in p.terms.items()}, m))
+    return out
+
+
+def sympy_germ_factors(f):
+    """germ_factors' contract, computed by sympy's sqf_list over QQ."""
+    x, y = sympy.symbols("x y")
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+    _, parts = sympy.Poly(terms, x, y, domain="QQ").sqf_list()
+    out = []
+    for part, m in parts:
+        p = Poly({e: Fraction(int(c.p), int(c.q)) for e, c in part.terms()}, 2)
+        if p.constant_term() == 0:
+            out.append((p, m))
+    return out
+
+
+small_bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9).filter(bool),
+    min_size=1, max_size=4,
+).map(lambda terms: Poly(terms, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(small_bivariate, st.integers(1, 3)), min_size=1, max_size=4))
+def test_germ_factors_match_sympy(factors):
+    # random products with repeated factors; a line through the origin makes
+    # every product a germ
+    f = P("x + 2*y")
+    for g, mult in factors:
+        f = f * g**mult
+    assert up_to_constant(germ_factors(f)) == up_to_constant(sympy_germ_factors(f))
+
+
+@pytest.mark.parametrize("text,expected", [
+    # six branches, one reduced part
+    ("(x^2-y^3)*(x^3-y^5)*(x^5-y^7)*(x^7-y^11)*(x^11-y^13)*(x-y^17)",
+     [("(x^2-y^3)*(x^3-y^5)*(x^5-y^7)*(x^7-y^11)*(x^11-y^13)*(x-y^17)", 1)]),
+    # parts of the content in Z[x] sit next to the parts in y; 1-x is a unit
+    ("x^5*(1-x)^3*(y-x)^2", [("y-x", 2), ("x", 5)]),
+    # a content part and a y-part of the same multiplicity are one part
+    ("x^2*(y-x)^2*(1+x)", [("x*(y-x)", 2)]),
+    # the unit cofactor 1+x stays inside its part
+    ("(x^2-y^3)^3*(x^3-y^2)^2*(x+y)*(1+x)^2",
+     [("x+y", 1), ("(x^3-y^2)*(1+x)", 2), ("x^2-y^3", 3)]),
+])
+def test_germ_factors_pinned(text, expected):
+    parts = [(P(part), m) for part, m in expected]
+    assert up_to_constant(germ_factors(P(text))) == up_to_constant(parts)
