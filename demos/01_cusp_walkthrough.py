@@ -8,11 +8,12 @@ and the zeta function picks up a pole away from -1.
 from fractions import Fraction
 
 from topzeta import (
+    blowup_step,
+    initial_state,
     lct_local,
     parse_poly,
     poles,
     resolution_data,
-    resolve_curve_state,
     zeta_local,
 )
 
@@ -22,14 +23,19 @@ print(f"germ: {f.to_text()}")
 # Run the blowup pipeline step by step and watch the numerical data appear.
 # Each exceptional curve E carries N = multiplicity of the pullback of f and
 # nu - 1 = multiplicity of the pulled-back volume form.
-state = resolve_curve_state(f)
-print(f"\nresolved in {len(state.history)} blowups:")
-for step in state.history:
+# blowup_step advances the state in place, one pending center at a time.
+state = initial_state(f)
+print("\nblowups:")
+while state.pending_centers:
+    blowup_step(state, state.pending_centers[0])
+    step = state.history[-1]
     through = " and ".join(step.parents) if step.parents else "nothing"
     print(
         f"  step {step.index}: center {step.center} (through {through}) "
-        f"-> {step.component_id} with (N, nu) = ({step.N}, {step.nu})"
+        f"-> {step.component_id} with (N, nu) = ({step.N}, {step.nu}); "
+        f"{len(state.pending_centers)} center(s) still pending"
     )
+print(f"resolved in {len(state.history)} blowups")
 
 rd = resolution_data(state)
 print("\ncomponents and the strata Euler characteristics over the origin:")

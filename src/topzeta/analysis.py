@@ -200,19 +200,15 @@ class EigenvalueSet:
         return sorted(self.fractions)
 
 
-def monodromy_eigenvalues_germ(
-    rd: ResolutionData, branch_multiplicities=None
-) -> EigenvalueSet:
+def monodromy_eigenvalues_germ(rd: ResolutionData) -> EigenvalueSet:
     """Certified subset of eigenvalues of the local monodromy at points of the
     germ: roots of unity seen by the zeros and poles of the monodromy zeta
     function, the eigenvalues at nearby smooth points of each branch, and the
     trivial eigenvalue from H^0."""
-    if branch_multiplicities is None:
-        branch_multiplicities = rd.branch_multiplicities()
     sources = []
     for m, e in acampo_zeta(rd).factors:
         sources.append((m, f"order-{m} factor of the monodromy zeta function"))
-    for m in branch_multiplicities:
+    for m in rd.branch_multiplicities():
         sources.append((m, f"nearby points of a multiplicity-{m} branch"))
     sources.append((1, "H^0 of nearby smooth points"))
     fractions = {}

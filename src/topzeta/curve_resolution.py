@@ -29,7 +29,7 @@ crossings, otherwise the resolution stops with ``IrrationalCenter``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import unipoly
@@ -100,36 +100,6 @@ class HistoryStep:
     multiplicity: int   # multiplicity of the strict transform at the center
 
 
-@dataclass(frozen=True)
-class BlowupState:
-    charts: tuple               # (chart_id, LocalChart) pairs still pending
-    pending_centers: tuple      # CenterOrbit entries, FIFO
-    components: tuple           # ComponentRecord entries in creation order
-    incidences: tuple           # (frozenset of two ids, orbit degree)
-    history: tuple              # HistoryStep entries
-    next_chart: int
-    is_identity: bool = False
-
-    def chart(self, chart_id: int) -> LocalChart:
-        for cid, chart in self.charts:
-            if cid == chart_id:
-                return chart
-        raise KeyError(chart_id)
-
-    def component(self, comp_id: str) -> ComponentRecord:
-        for c in self.components:
-            if c.id == comp_id:
-                return c
-        raise KeyError(comp_id)
-
-    def is_resolved(self) -> bool:
-        return not self.pending_centers
-
-    def numerical_history(self):
-        """The (N, nu) sequence of created exceptional components."""
-        return [(h.N, h.nu) for h in self.history]
-
-
 # -- chart-level computations -------------------------------------------------
 
 
@@ -177,103 +147,47 @@ def _axis_contact_order(germ: Poly, axis: int) -> int:
     raise AssertionError("unreachable")
 
 
-class _Resolver:
-    """Mutable companion of the immutable state; one blowup step at a time."""
+@dataclass(eq=False)
+class BlowupState:
+    """A resolution in progress; :func:`blowup_step` advances it in place."""
 
-    def __init__(self, state: BlowupState):
-        self.charts = dict(state.charts)
-        self.pending = list(state.pending_centers)
-        self.components = list(state.components)
-        self.incidences = list(state.incidences)
-        self.history = list(state.history)
-        self.next_chart = state.next_chart
+    charts: dict = field(default_factory=dict)           # chart id -> LocalChart of a pending center
+    pending_centers: list = field(default_factory=list)  # CenterOrbit entries, FIFO
+    components: list = field(default_factory=list)       # ComponentRecord entries in creation order
+    by_id: dict = field(default_factory=dict)            # component id -> ComponentRecord
+    incidences: list = field(default_factory=list)       # (frozenset of two ids, orbit degree)
+    history: list = field(default_factory=list)          # HistoryStep entries
+    is_identity: bool = False
+    created: dict = field(default_factory=lambda: {"E": 0, "B": 0, "chart": 0})
 
-    def freeze(self, is_identity: bool = False) -> BlowupState:
-        live = {c.chart_id for c in self.pending}
-        charts = tuple((cid, ch) for cid, ch in sorted(self.charts.items()) if cid in live)
-        return BlowupState(
-            charts=charts,
-            pending_centers=tuple(self.pending),
-            components=tuple(self.components),
-            incidences=tuple(self.incidences),
-            history=tuple(self.history),
-            next_chart=self.next_chart,
-            is_identity=is_identity,
-        )
+    def is_resolved(self) -> bool:
+        return not self.pending_centers
 
-    def component(self, comp_id: str) -> ComponentRecord:
-        for c in self.components:
-            if c.id == comp_id:
-                return c
-        raise KeyError(comp_id)
+    def numerical_history(self):
+        """The (N, nu) sequence of created exceptional components."""
+        return [(h.N, h.nu) for h in self.history]
 
-    def new_exceptional(self, N, nu) -> str:
-        eid = f"E{1 + sum(1 for c in self.components if c.kind == 'exceptional')}"
-        self.components.append(ComponentRecord(eid, N, nu, "exceptional", 1))
-        return eid
+    def _count(self, kind: str) -> int:
+        self.created[kind] += 1
+        return self.created[kind]
 
-    def new_branch(self, N, degree) -> str:
-        bid = f"B{1 + sum(1 for c in self.components if c.kind == 'branch')}"
-        self.components.append(ComponentRecord(bid, N, 1, "branch", degree))
-        return bid
+    def _new_component(self, prefix, N, nu, kind, degree) -> str:
+        cid = f"{prefix}{self._count(prefix)}"
+        record = ComponentRecord(cid, N, nu, kind, degree)
+        self.components.append(record)
+        self.by_id[cid] = record
+        return cid
 
-    def add_chart(self, factors, axes, description) -> int:
-        cid = self.next_chart
-        self.next_chart += 1
+    def _new_branch(self, N, degree) -> str:
+        return self._new_component("B", N, 1, "branch", degree)
+
+    def _add_chart(self, factors, axes, description) -> int:
+        cid = self._count("chart")
         for axis, _ in axes:
             for cf in factors:
                 assert cf.poly.min_exponent(axis) == 0
         self.charts[cid] = LocalChart(cid, tuple(factors), tuple(axes), description)
         return cid
-
-    # -- one blowup --------------------------------------------------------
-
-    def blow_up(self, center: CenterOrbit):
-        if center not in self.pending:
-            raise ValueError("center is not pending")
-        if center.degree > 1:
-            raise IrrationalCenter(
-                f"center {center.description} is an orbit of degree {center.degree}; "
-                "point blowups over Q cannot separate it (for non-degenerate germs "
-                "use the toric pipeline)"
-            )
-        self.pending.remove(center)
-        chart = self.charts[center.chart_id]
-        axes = chart.axis_map()
-
-        mults = [(cf, cf.poly.origin_multiplicity()) for cf in chart.factors]
-        m_full = sum(cf.multiplicity * m for cf, m in mults)
-        parents = sorted(axes.values())
-        N_new = m_full + sum(self.component(p).N for p in parents)
-        nu_new = 2 + sum(self.component(p).nu - 1 for p in parents)
-        new_id = self.new_exceptional(N_new, nu_new)
-        self.history.append(
-            HistoryStep(
-                index=len(self.history) + 1,
-                component_id=new_id,
-                N=N_new,
-                nu=nu_new,
-                center=center.description,
-                parents=tuple(parents),
-                multiplicity=m_full,
-            )
-        )
-
-        # chart A: directions b finite; old axis 0 escapes to chart B
-        strict_a = [
-            ChartFactor(_chart_a(cf.poly, m), cf.multiplicity) for cf, m in mults
-        ]
-        old_axis1 = axes.get(1)
-        self._scan_chart_a(strict_a, new_id, old_axis1)
-
-        # chart B: only its origin (the direction u = 0) is new
-        strict_b = [
-            ChartFactor(_chart_b(cf.poly, m), cf.multiplicity) for cf, m in mults
-        ]
-        old_axis0 = axes.get(0)
-        self._scan_chart_b(strict_b, new_id, old_axis0)
-
-        del self.charts[center.chart_id]
 
     def _scan_chart_a(self, strict, new_id, old_axis1):
         rational = {}   # root t0 -> list of (factor index, multiplicity in G_k)
@@ -310,7 +224,7 @@ class _Resolver:
             pending = len(hits) >= 2 or any(mult >= 2 for _, mult in hits)
             where = f"orbit of degree {degree} on {new_id}"
             if pending:
-                self.pending.append(
+                self.pending_centers.append(
                     CenterOrbit(
                         chart_id=-1,
                         degree=degree,
@@ -320,7 +234,7 @@ class _Resolver:
                 )
             else:
                 (k, _), = hits
-                bid = self.new_branch(strict[k].multiplicity, degree)
+                bid = self._new_branch(strict[k].multiplicity, degree)
                 self.incidences.append((frozenset({new_id, bid}), degree))
 
     def _scan_chart_b(self, strict, new_id, old_axis0):
@@ -349,13 +263,13 @@ class _Resolver:
             (axis, _), = axes
             verdict = _axis_contact_order(germs[0].poly, axis) >= 2
         if verdict:
-            cid = self.add_chart(germs, axes, where)
-            self.pending.append(CenterOrbit(cid, degree, where))
+            cid = self._add_chart(germs, axes, where)
+            self.pending_centers.append(CenterOrbit(cid, degree, where))
         else:
             # transverse smooth crossing of one branch with one divisor
             (cf, _), = mults
             ((_, divisor),) = axes
-            bid = self.new_branch(cf.multiplicity, degree)
+            bid = self._new_branch(cf.multiplicity, degree)
             self.incidences.append((frozenset({divisor, bid}), degree))
 
 
@@ -381,71 +295,115 @@ def initial_state(f: Poly, allow_nonreduced: bool = False, parts=None) -> Blowup
         )
     chart_factors = tuple(ChartFactor(p, m) for p, m in parts)
     mults = [(cf, cf.poly.origin_multiplicity()) for cf in chart_factors]
-    pending = _is_pending(mults, 0)
-    resolver = _Resolver(BlowupState((), (), (), (), (), next_chart=0))
-    if pending:
-        cid = resolver.add_chart(chart_factors, (), "origin")
-        resolver.pending.append(CenterOrbit(cid, 1, "origin"))
-        return resolver.freeze()
+    state = BlowupState()
+    if _is_pending(mults, 0):
+        cid = state._add_chart(chart_factors, (), "origin")
+        state.pending_centers.append(CenterOrbit(cid, 1, "origin"))
+        return state
     # the germ is smooth: the identity map is already an embedded resolution,
     # with the single smooth branch carrying the origin
     assert len(mults) == 1 and mults[0][1] == 1
-    resolver.new_branch(chart_factors[0].multiplicity, 1)
-    return resolver.freeze(is_identity=True)
-
-
-def blowup_step(state: BlowupState, center: CenterOrbit) -> BlowupState:
-    """Blow up one pending center; returns the new state.  Raises
-    IrrationalCenter on orbits of degree > 1."""
-    resolver = _Resolver(state)
-    resolver.blow_up(center)
-    return resolver.freeze()
-
-
-def resolve_curve_state(
-    f: Poly, allow_nonreduced: bool = False, max_steps: int = 1000, parts=None
-) -> BlowupState:
-    """Run blowups until the total transform is a simple normal crossings
-    divisor; returns the final state with history and incidence data.
-    ``parts`` is passed on to :func:`initial_state`."""
-    state = initial_state(f, allow_nonreduced, parts)
-    steps = 0
-    while state.pending_centers:
-        if steps >= max_steps:
-            raise TopZetaError(f"resolution did not finish within {max_steps} blowups")
-        state = blowup_step(state, state.pending_centers[0])
-        steps += 1
+    state._new_branch(chart_factors[0].multiplicity, 1)
+    state.is_identity = True
     return state
 
 
-def euler_strata(state: BlowupState):
-    """Stratum table of a finished resolution.
-
-    Exceptional components are rational curves: chi = 2 minus the number of
-    incidence points on them (orbits count with their degree).  Branch germs
-    are disks attached at their incidence point, so their open stratum has
-    chi 0 -- except for the identity resolution, where the single branch
-    carries the origin itself.
-    """
-    if not state.is_resolved():
-        raise UnresolvedState("resolution has pending centers")
-    strata = []
-    if state.is_identity:
-        (branch,) = state.components
-        return (Stratum(frozenset({branch.id}), 1, 1),)
-    for comp in state.components:
-        touching = sum(
-            degree for ids, degree in state.incidences if comp.id in ids
+def blowup_step(state: BlowupState, center: CenterOrbit) -> BlowupState:
+    """Blow up one pending center of ``state`` in place and return ``state``.
+    Raises IrrationalCenter on orbits of degree > 1, leaving ``state`` as it
+    was."""
+    if center not in state.pending_centers:
+        raise ValueError("center is not pending")
+    if center.degree > 1:
+        raise IrrationalCenter(
+            f"center {center.description} is an orbit of degree {center.degree}; "
+            "point blowups over Q cannot separate it (for non-degenerate germs "
+            "use the toric pipeline)"
         )
-        if comp.kind == "exceptional":
-            chi = 2 - touching
-        else:
-            chi = comp.orbit_degree - touching  # always 0: one attachment orbit
-        strata.append(Stratum(frozenset({comp.id}), chi, chi if comp.kind == "exceptional" else 0))
-    for ids, degree in state.incidences:
+    state.pending_centers.remove(center)
+    chart = state.charts.pop(center.chart_id)
+    axes = chart.axis_map()
+
+    mults = [(cf, cf.poly.origin_multiplicity()) for cf in chart.factors]
+    m_full = sum(cf.multiplicity * m for cf, m in mults)
+    parents = sorted(axes.values())
+    N_new = m_full + sum(state.by_id[p].N for p in parents)
+    nu_new = 2 + sum(state.by_id[p].nu - 1 for p in parents)
+    new_id = state._new_component("E", N_new, nu_new, "exceptional", 1)
+    state.history.append(
+        HistoryStep(
+            index=len(state.history) + 1,
+            component_id=new_id,
+            N=N_new,
+            nu=nu_new,
+            center=center.description,
+            parents=tuple(parents),
+            multiplicity=m_full,
+        )
+    )
+
+    # chart A: directions b finite; old axis 0 escapes to chart B
+    strict_a = [ChartFactor(_chart_a(cf.poly, m), cf.multiplicity) for cf, m in mults]
+    state._scan_chart_a(strict_a, new_id, axes.get(1))
+    # chart B: only its origin (the direction u = 0) is new
+    strict_b = [ChartFactor(_chart_b(cf.poly, m), cf.multiplicity) for cf, m in mults]
+    state._scan_chart_b(strict_b, new_id, axes.get(0))
+    return state
+
+
+def resolve_curve_state(f: Poly, allow_nonreduced: bool = False, parts=None) -> BlowupState:
+    """Run blowups until the total transform is a simple normal crossings
+    divisor; returns the final state with history and incidence data.
+    ``parts`` is passed on to :func:`initial_state`.
+
+    There is no step limit: finitely many point blowups resolve every
+    plane-curve germ (Casas-Alvero, Singularities of Plane Curves, LMS Lecture
+    Note Series 276, 2000), and the loop ends or stops with
+    ``IrrationalCenter``.
+    """
+    state = initial_state(f, allow_nonreduced, parts)
+    while state.pending_centers:
+        blowup_step(state, state.pending_centers[0])
+    return state
+
+
+def curve_strata(exceptional_ids, branches, incidences):
+    """Stratum table of a plane-curve resolution from its incidence graph.
+
+    ``branches`` holds (id, orbit degree) pairs and ``incidences`` holds
+    (frozenset of two ids, orbit degree) pairs.  Exceptional components are
+    rational curves: chi = 2 minus the number of incidence points on them
+    (orbits count with their degree).  A branch orbit of degree d is d disks,
+    so its open stratum has chi = d minus its points, and it lies over the
+    origin only when it meets nothing: then the resolution is the identity
+    and the branch carries the origin itself.
+    """
+    points = {}
+    for ids, degree in incidences:
+        for cid in ids:
+            points[cid] = points.get(cid, 0) + degree
+    strata = []
+    for cid in exceptional_ids:
+        chi = 2 - points.get(cid, 0)
+        strata.append(Stratum(frozenset({cid}), chi, chi))
+    for cid, orbit in branches:
+        touching = points.get(cid, 0)
+        strata.append(Stratum(frozenset({cid}), orbit - touching, 0 if touching else orbit))
+    for ids, degree in incidences:
         strata.append(Stratum(frozenset(ids), degree, degree))
     strata.sort(key=lambda st: sorted(st.ids))
     return tuple(strata)
+
+
+def euler_strata(state: BlowupState):
+    """Stratum table of a finished resolution, by :func:`curve_strata`."""
+    if not state.is_resolved():
+        raise UnresolvedState("resolution has pending centers")
+    return curve_strata(
+        [c.id for c in state.components if c.kind == "exceptional"],
+        [(c.id, c.orbit_degree) for c in state.components if c.kind == "branch"],
+        state.incidences,
+    )
 
 
 def resolution_data(state: BlowupState) -> ResolutionData:

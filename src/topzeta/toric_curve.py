@@ -14,8 +14,10 @@ finite exact computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import unipoly
+from .curve_resolution import curve_strata
 from .errors import Degenerate
 from .polynomial import (
     Poly,
@@ -24,7 +26,7 @@ from .polynomial import (
     newton_polygon_local,
     segment_face_coeffs,
 )
-from .zeta_core import Component, ResolutionData, Stratum
+from .zeta_core import Component, ResolutionData
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,11 @@ def dual_fan(np_f: NewtonPolygon) -> Fan2D:
     for seg in np_f.segments():
         vectors.append(seg.normal)
     # all vectors distinct and primitive; sort by angle, exactly
-    vectors.sort(key=lambda v: (2, 0) if v[0] == 0 else (1, _frac(v[1], v[0])))
+    vectors.sort(key=lambda v: (2, 0) if v[0] == 0 else (1, Fraction(v[1], v[0])))
     rays = tuple(
         Ray(v, _value(v, np_f.vertices), v[0] + v[1], True) for v in vectors
     )
     return Fan2D(rays, np_f.vertices)
-
-
-def _frac(a, b):
-    from fractions import Fraction
-
-    return Fraction(a, b)
 
 
 def _hirzebruch_jung(a, b):
@@ -165,20 +161,19 @@ def toric_resolution_data(f: Poly) -> ResolutionData:
     fan = unimodular_subdivide(dual_fan(np_f))
 
     components = []
-    branch_ids = []
+    exceptional_ids = []
+    branches = []     # (id, orbit degree)
     incidences = []   # (frozenset of ids, orbit degree)
     ray_comp = {}     # ray vector -> component id
-    n_exceptional = 0
     for ray in fan.rays:
         if ray.N == 0:
             continue  # coordinate axis not dividing f: not in the total transform
-        interior = ray.vector[0] >= 1 and ray.vector[1] >= 1
-        if interior:
-            n_exceptional += 1
-            cid = f"E{n_exceptional}"
+        if ray.vector[0] >= 1 and ray.vector[1] >= 1:
+            cid = f"E{len(exceptional_ids) + 1}"
+            exceptional_ids.append(cid)
         else:
             cid = "Ax" if ray.vector == (1, 0) else "Ay"
-            branch_ids.append(cid)
+            branches.append((cid, 1))
         ray_comp[ray.vector] = cid
         components.append(Component(cid, ray.N, ray.sigma, True))
 
@@ -197,40 +192,14 @@ def toric_resolution_data(f: Poly) -> ResolutionData:
             degree = unipoly.degree(factor)
             n_branch += 1
             bid = f"B{n_branch}"
-            branch_ids.append(bid)
+            branches.append((bid, degree))
             components.append(Component(bid, mult, 1, True))
             incidences.append((frozenset({host, bid}), degree))
-
-    strata = []
-    axis_neighbor = {}
-    for r1, r2 in zip(fan.rays, fan.rays[1:]):
-        if r1.vector == (1, 0):
-            axis_neighbor["Ax"] = ray_comp.get(r2.vector)
-        if r2.vector == (0, 1):
-            axis_neighbor["Ay"] = ray_comp.get(r1.vector)
-    for comp in components:
-        touching = sum(deg for ids, deg in incidences if comp.id in ids)
-        if comp.id.startswith("E"):
-            chi = 2 - touching
-            strata.append(Stratum(frozenset({comp.id}), chi, chi))
-        elif comp.id.startswith("A"):
-            # axis branch: a disk whose only point over the origin is the
-            # torus-fixed corner with the neighboring divisor
-            has_corner = axis_neighbor.get(comp.id) is not None
-            strata.append(
-                Stratum(frozenset({comp.id}), 1 - touching, 0 if has_corner else 1)
-            )
-        else:
-            orbit = next(deg for ids, deg in incidences if comp.id in ids)
-            strata.append(Stratum(frozenset({comp.id}), orbit - touching, 0))
-    for ids, degree in incidences:
-        strata.append(Stratum(frozenset(ids), degree, degree))
-    strata.sort(key=lambda st: sorted(st.ids))
 
     return ResolutionData(
         ambient_dim=2,
         components=tuple(components),
-        strata=tuple(strata),
+        strata=curve_strata(exceptional_ids, branches, incidences),
         scope="local",
-        branch_ids=tuple(branch_ids),
+        branch_ids=tuple(bid for bid, _ in branches),
     )

@@ -109,7 +109,8 @@ class ResolutionData:
         return sorted({Fraction(-c.nu, c.N) for c in self.components}, reverse=True)
 
     def branch_multiplicities(self) -> list[int]:
-        return [self.component(b).N for b in self.branch_ids]
+        N = {c.id: c.N for c in self.components}
+        return [N[b] for b in self.branch_ids]
 
 
 class RationalFunction:

@@ -12,7 +12,7 @@ from topzeta.curve_resolution import (
     resolve_curve_state,
 )
 from topzeta.errors import IrrationalCenter, NonVanishingAtOrigin, UnresolvedState
-from topzeta.polynomial import parse_poly
+from topzeta.polynomial import is_nondegenerate_curve, parse_poly
 from topzeta.toric_curve import toric_resolution_data
 from topzeta.zeta_core import RationalFunction, lct_local, poles, zeta_local
 
@@ -240,18 +240,34 @@ GERMS = [
 ]
 
 
+def assert_chi_additive(rd, orbit, text):
+    """Each exceptional curve is rational, so chi_total over its strata sums
+    to 2; a branch orbit is ``orbit[id]`` disks, so its own chi_total plus its
+    incidence degrees is its orbit degree."""
+    for comp in rd.components:
+        total = sum(st.chi_total for st in rd.strata if comp.id in st.ids)
+        assert total == orbit.get(comp.id, 2), f"additivity fails for {comp.id} of {text}"
+
+
 @pytest.mark.parametrize("text", GERMS)
 def test_additivity_and_recursions(text):
     state = resolve_curve_state(P(text))
     rd = resolution_data(state)
-    # chi additivity: each exceptional curve is rational
-    for comp in state.components:
-        if comp.kind != "exceptional":
-            continue
-        total = sum(
-            st.chi_total for st in rd.strata if comp.id in st.ids
-        )
-        assert total == 2, f"additivity fails for {comp.id} of {text}"
+    orbit = {c.id: c.orbit_degree for c in state.components if c.kind == "branch"}
+    assert_chi_additive(rd, orbit, text)
+    # the toric pipeline builds its strata with the same helper; check it too
+    if is_nondegenerate_curve(P(text)):
+        toric = toric_resolution_data(P(text))
+        orbit = {}
+        for b in toric.branch_ids:
+            if b in ("Ax", "Ay"):
+                orbit[b] = 1
+            else:
+                # a face branch orbit meets its host divisor in one orbit
+                (orbit[b],) = [
+                    st.chi_total for st in toric.strata if b in st.ids and len(st.ids) == 2
+                ]
+        assert_chi_additive(toric, orbit, text)
     # recursion invariants hold at every step
     by_id = {c.id: c for c in state.components}
     for step in state.history:
@@ -287,7 +303,7 @@ def test_total_transform_division_check():
     # after step 1 the pending chart holds the strict transform plus axes;
     # multiply back and divide by the exceptional coordinate exactly N times
     mid = blowup_step(initial_state(P("x^2 + y^3")), initial_state(P("x^2 + y^3")).pending_centers[0])
-    (cid, chart), = mid.charts
+    (cid, chart), = mid.charts.items()
     axis_map = dict(chart.axes)
     total = None
     for cf in chart.factors:
@@ -300,10 +316,14 @@ def test_total_transform_division_check():
         assert lifted.min_exponent(axis) == N
 
 
-def test_iteration_cap():
-    from topzeta.errors import TopZetaError
-    with pytest.raises(TopZetaError, match="within 1 blowups"):
-        resolve_curve_state(P("x^2 + y^3"), max_steps=1)
+@pytest.mark.parametrize("text,a,b", [("y^2-x^2001", 2001, 2), ("x^3010+y^3", 3010, 3)])
+def test_long_resolutions_have_no_step_limit(text, a, b):
+    # about a/b blowups; Z(x^a + y^b) with gcd(a, b) = 1 is
+    # ((a+b-1)s + a+b) / ((s+1)(ab s + a+b))
+    f = P(text)
+    expect = RationalFunction((a + b, a + b - 1), (a + b, a * b + a + b, a * b))
+    assert zeta_local(resolve_curve_germ(f)) == expect
+    assert zeta_local(toric_resolution_data(f)) == expect
 
 
 def test_substitute_shift_exact():
