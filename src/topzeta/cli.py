@@ -78,8 +78,12 @@ def analyze_poly(text: str, pipeline: str, allow_nonreduced=False, b_roots=None)
     return f, analyze_germ(f, pipeline, allow_nonreduced, b_roots)
 
 
-def analyze_germ(f, pipeline: str, allow_nonreduced=False, b_roots=None):
-    """Run the requested pipelines on a parsed two-variable germ."""
+def resolve_germ(f, pipeline: str, allow_nonreduced=False):
+    """Resolve a parsed two-variable germ by the requested pipelines.
+
+    Every pipeline needs a reduced germ unless ``allow_nonreduced`` is set.
+    Returns the isolated flag and {pipeline: (resolution data, blowup state
+    or None)}."""
     if f.is_zero() or f.constant_term() != 0:
         raise InputError("input must be a non-zero germ vanishing at the origin")
     # one squarefree decomposition serves the reducedness test and the blowups
@@ -90,24 +94,28 @@ def analyze_germ(f, pipeline: str, allow_nonreduced=False, b_roots=None):
             "germ is not reduced (a repeated factor passes through the origin); "
             "rerun with --allow-nonreduced to accept it"
         )
-    isolated = "yes" if reduced else "no"
     wanted = ["blowup", "toric"] if pipeline == "both" else [pipeline]
-    results = {}
+    resolved = {}
     for name in wanted:
         if name == "blowup":
             state = resolve_curve_state(
                 f, allow_nonreduced=allow_nonreduced, parts=parts
             )
-            rd = resolution_data(state)
-            results[name] = analyze_rd(
-                rd, isolated, history=state.numerical_history(), b_roots=b_roots
-            )
+            resolved[name] = (resolution_data(state), state)
         elif name == "toric":
-            rd = toric_resolution_data(f)
-            results[name] = analyze_rd(rd, isolated, b_roots=b_roots)
+            resolved[name] = (toric_resolution_data(f), None)
         else:
             raise InputError(f"pipeline {name!r} needs --file input")
-    return results
+    return ("yes" if reduced else "no"), resolved
+
+
+def analyze_germ(f, pipeline: str, allow_nonreduced=False, b_roots=None):
+    """Run the requested pipelines on a parsed two-variable germ."""
+    isolated, resolved = resolve_germ(f, pipeline, allow_nonreduced)
+    return {
+        name: analyze_rd(rd, isolated, state and state.numerical_history(), b_roots)
+        for name, (rd, state) in resolved.items()
+    }
 
 
 def analyze_file(path: str, assert_isolated=False, b_roots=None):
@@ -371,10 +379,10 @@ def cmd_zeta(args) -> int:
 
 def cmd_explain(args) -> int:
     f = parse_poly(args.poly, ["x", "y"])
+    _, resolved = resolve_germ(f, args.pipeline, args.allow_nonreduced)
     lines = [f"input: {args.poly}"]
-    wanted = ["blowup", "toric"] if args.pipeline == "both" else [args.pipeline]
-    if "blowup" in wanted:
-        state = resolve_curve_state(f, allow_nonreduced=args.allow_nonreduced)
+    if "blowup" in resolved:
+        rd, state = resolved["blowup"]
         if state.is_identity:
             lines.append("blowup: germ is smooth, identity resolution, 0 steps")
         else:
@@ -388,9 +396,9 @@ def cmd_explain(args) -> int:
                     f"strict multiplicity {step.multiplicity} "
                     f"-> {step.component_id} with (N, nu) = ({step.N}, {step.nu})"
                 )
-        rd = resolution_data(state)
         lines.extend(_strata_lines(rd))
-    if "toric" in wanted:
+    if "toric" in resolved:
+        rd, _ = resolved["toric"]
         fan = unimodular_subdivide(dual_fan(newton_polygon_local(f)))
         lines.append("toric: subdivided dual fan rays (vector, N, sigma)")
         for ray in fan.rays:
@@ -398,7 +406,6 @@ def cmd_explain(args) -> int:
             lines.append(
                 f"  {ray.vector}: N = {ray.N}, sigma = {ray.sigma} [{tag}]"
             )
-        rd = toric_resolution_data(f)
         lines.extend(_strata_lines(rd))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -21,10 +21,12 @@ through the center, where m is the multiplicity of the (non-reduced) strict
 transform there.
 
 Intersection points of strict transforms with the new exceptional curve are
-found exactly as root orbits of one-variable polynomials over Q.  Rational
-points needing further blowups become new charts; conjugate orbits are kept
-as counts and may only appear where the configuration is already normal
-crossings, otherwise the resolution stops with ``IrrationalCenter``.
+found exactly as the irreducible factors over Q of one-variable integer
+polynomials: a linear factor is a rational point, a factor of degree d an
+orbit of d conjugate points.  Rational points needing further blowups become
+new charts; conjugate orbits are kept as counts and may only appear where the
+configuration is already normal crossings, otherwise the resolution stops
+with ``IrrationalCenter``.
 """
 
 from __future__ import annotations
@@ -191,12 +193,12 @@ class BlowupState:
 
     def _scan_chart_a(self, strict, new_id, old_axis1):
         rational = {}   # root t0 -> list of (factor index, multiplicity in G_k)
-        orbits = {}     # monic irreducible coeff tuple -> list of (index, mult)
+        orbits = {}     # irreducible primitive integer tuple -> list of (index, mult)
         for k, cf in enumerate(strict):
             g = cf.poly.restrict_to_zero(0)
             for fac, mult in unipoly.factor_rational(g):
                 if unipoly.degree(fac) == 1:
-                    root = -fac[0]
+                    root = Fraction(-fac[0], fac[1])
                     rational.setdefault(root, []).append((k, mult))
                 else:
                     orbits.setdefault(fac, []).append((k, mult))
@@ -218,7 +220,7 @@ class BlowupState:
             where = f"t={t0} on {new_id}" + (f", corner with {corner}" if corner else "")
             self._dispatch_point(germs, axes, where, degree=1)
 
-        for fac in sorted(orbits, key=lambda f: (unipoly.degree(f), f)):
+        for fac in sorted(orbits, key=unipoly.monic_key):
             hits = orbits[fac]
             degree = unipoly.degree(fac)
             pending = len(hits) >= 2 or any(mult >= 2 for _, mult in hits)

@@ -184,9 +184,9 @@ class Poly:
                 power *= offset
         return Poly(terms, self.num_vars)
 
-    def restrict_to_zero(self, var: int) -> unipoly.Coeffs:
-        """Set x_var = 0 in a 2-variable polynomial; return the other variable's
-        coefficient list."""
+    def restrict_to_zero(self, var: int) -> tuple[int, ...]:
+        """Set x_var = 0 in a 2-variable polynomial; return the primitive
+        integer multiple of the other variable's coefficient list."""
         assert self.num_vars == 2
         other = 1 - var
         coeffs = {}
@@ -195,10 +195,10 @@ class Poly:
                 coeffs[e[other]] = c
         if not coeffs:
             return ()
-        out = [Fraction(0)] * (max(coeffs) + 1)
+        out = [0] * (max(coeffs) + 1)
         for k, c in coeffs.items():
             out[k] = c
-        return unipoly.make(out)
+        return unipoly.to_integer(out)
 
     def to_text(self, variables=None) -> str:
         """Deterministic text form, re-parsable by :func:`parse_poly`."""
@@ -495,31 +495,32 @@ def face_poly(f: Poly, face: Face) -> Poly:
     return Poly({e: c for e, c in f.terms.items() if e in on_face}, f.num_vars)
 
 
-def segment_face_coeffs(f: Poly, face: Face) -> unipoly.Coeffs:
-    """Dehomogenization of the face polynomial of a segment face.
+def segment_face_coeffs(f: Poly, face: Face) -> tuple[int, ...]:
+    """Dehomogenization of the face polynomial of a segment face, as its
+    primitive integer multiple.
 
     Walking the lattice points of the segment from the x-extreme end gives the
     coefficient list; the result always has a non-zero constant term because
     segment endpoints are support points.
     """
     assert face.kind == "segment"
-    return unipoly.make([f.coefficient(p) for p in face.lattice_points()])
+    return unipoly.to_integer([f.coefficient(p) for p in face.lattice_points()])
 
 
 def is_nondegenerate_curve(f: Poly) -> bool:
     """Newton non-degeneracy for two-variable germs, decided exactly.
 
     Vertex faces are monomials and never obstruct.  A segment face obstructs
-    iff its dehomogenized face polynomial has a repeated non-zero root, i.e.
-    gcd(g, g') keeps a factor besides a power of t.
+    iff its dehomogenized face polynomial g has a repeated non-zero root.
+    The segment's endpoints are support points, so g(0) != 0 and every
+    repeated root is non-zero: the test is whether gcd(g, g') is non-constant.
     """
     if f.num_vars != 2:
         raise ValueError("is_nondegenerate_curve needs a 2-variable polynomial")
     _require_local_germ(f)
     for face in newton_polygon_local(f).segments():
         g = segment_face_coeffs(f, face)
-        common = unipoly.gcd(g, unipoly.derivative(g))
-        if unipoly.degree(unipoly.strip_origin_root(common)) > 0:
+        if len(unipoly.gcd(g, unipoly.zz_derivative(g))[0]) > 1:
             return False
     return True
 
@@ -582,7 +583,7 @@ def _zx_gcd(a: list, b: list) -> tuple[list, list, list]:
     pb = [[v // cb for v in co] for co in b]
     xi = 2 * min(max(abs(v) for co in p for v in co) for p in (pa, pb)) + 29
     while True:
-        image, _, _ = unipoly.zz_gcd(
+        image, _, _ = unipoly.gcd(
             [unipoly.zz_eval(co, xi) for co in pa], [unipoly.zz_eval(co, xi) for co in pb]
         )
         h = [unipoly.zz_interpolate(v, xi) for v in image]
@@ -626,7 +627,7 @@ def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
         rows[j][i] = c
     content = []
     for co in rows:
-        content = unipoly.zz_gcd(content, co)[0]
+        content = unipoly.gcd(content, co)[0]
     primitive = [unipoly.zz_divexact(co, content) for co in rows]
     parts = {m: [a] for a, m in unipoly.yun(content)}
     for a, m in unipoly.yun(primitive, _zx_gcd, _zx_derivative, _zx_sub):

@@ -22,7 +22,6 @@ from .errors import Degenerate
 from .polynomial import (
     Poly,
     NewtonPolygon,
-    is_nondegenerate_curve,
     newton_polygon_local,
     segment_face_coeffs,
 )
@@ -150,14 +149,20 @@ def toric_resolution_data(f: Poly) -> ResolutionData:
     Interior rays carry exceptional curves over the origin; the axis rays
     (1,0) and (0,1) enter only when x resp. y divides f.  Branch orbits attach
     to the normal ray of their segment face, one per irreducible factor of the
-    dehomogenized face polynomial.
+    dehomogenized face polynomial.  That polynomial g has g(0) != 0, so a
+    factor of multiplicity > 1 is a repeated non-zero root: the germ is
+    degenerate and ``Degenerate`` is raised.
     """
-    if not is_nondegenerate_curve(f):
+    np_f = newton_polygon_local(f)
+    faces = [
+        (seg, unipoly.factor_rational(segment_face_coeffs(f, seg)))
+        for seg in np_f.segments()
+    ]
+    if any(mult > 1 for _, factors in faces for _, mult in factors):
         raise Degenerate(
             "germ is degenerate with respect to its Newton polygon; "
             "the blowup pipeline may still apply"
         )
-    np_f = newton_polygon_local(f)
     fan = unimodular_subdivide(dual_fan(np_f))
 
     components = []
@@ -185,10 +190,9 @@ def toric_resolution_data(f: Poly) -> ResolutionData:
 
     # branch orbits from the segment faces
     n_branch = 0
-    for seg in np_f.segments():
+    for seg, factors in faces:
         host = ray_comp[seg.normal]
-        g = segment_face_coeffs(f, seg)
-        for factor, mult in unipoly.factor_rational(g):
+        for factor, mult in factors:
             degree = unipoly.degree(factor)
             n_branch += 1
             bid = f"B{n_branch}"

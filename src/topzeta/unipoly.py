@@ -1,11 +1,13 @@
-"""Dense univariate polynomials over Q, Z and F_p, and factoring over Q.
+"""Dense univariate polynomials over Z and F_p, and factoring over Q.
 
-``Coeffs`` are tuples of ``Fraction`` coefficients in ascending degree with no
-trailing zeros; the zero polynomial is the empty tuple.  ``factor_rational``
-works on integer polynomials (lists of ints, same order): Yun's squarefree
-decomposition with heuristic gcds, then Zassenhaus's algorithm -- factoring
-mod p, Hensel lifting, recombination.  Everything here is exact -- no floats
-anywhere; the random splits mod p use a fixed seed and cannot change a result.
+A polynomial is a sequence of ints in ascending degree with no trailing
+zeros; the zero polynomial is empty.  Rational coefficients enter only
+through ``to_integer``, which takes the primitive integer multiple.  The gcd
+is the heuristic gcd of Char, Geddes and Gonnet; ``factor_rational`` runs
+Yun's squarefree decomposition on it, then Zassenhaus's algorithm --
+factoring mod p, Hensel lifting, recombination.  Everything here is exact --
+no floats anywhere; the random splits mod p use a fixed seed and cannot
+change a result.
 """
 
 from __future__ import annotations
@@ -13,65 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from random import Random
 
-Coeffs = tuple[Fraction, ...]
 
-
-def make(coeffs) -> Coeffs:
-    """Normalize a coefficient iterable (ascending degree) into canonical form."""
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def degree(p: Coeffs) -> int:
+def degree(p) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(p) - 1
 
 
-def is_zero(p: Coeffs) -> bool:
-    return not p
-
-
-def add(p: Coeffs, q: Coeffs) -> Coeffs:
-    n = max(len(p), len(q))
-    return make([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def mul(p: Coeffs, q: Coeffs) -> Coeffs:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return make(out)
-
-
-def divmod_poly(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
-    """Exact polynomial division with remainder; q must be non-zero."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq, lead = len(q) - 1, q[-1]
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-    return make(quo), make(rem)
-
-
-def evaluate(p: Coeffs, x) -> Fraction:
+def evaluate(p, x) -> Fraction:
     x = Fraction(x)
     acc = Fraction(0)
     for c in reversed(p):
@@ -79,46 +32,30 @@ def evaluate(p: Coeffs, x) -> Fraction:
     return acc
 
 
-def derivative(p: Coeffs) -> Coeffs:
-    return make([i * c for i, c in enumerate(p)][1:])
-
-
-def monic(p: Coeffs) -> Coeffs:
+def to_integer(p) -> tuple[int, ...]:
+    """The primitive integer multiple, with positive leading coefficient, of
+    the polynomial with rational coefficients p (ascending degree, trailing
+    zeros allowed); the empty tuple for zero."""
+    p = _trim(list(p))
     if not p:
         return ()
-    return tuple(c / p[-1] for c in p)
-
-
-def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Monic gcd over Q: the heuristic gcd of the primitive integer multiples."""
-    return monic(make(zz_gcd(list(to_integer(p)), list(to_integer(q)))[0]))
-
-
-def strip_origin_root(p: Coeffs) -> Coeffs:
-    """Divide out the highest power of t, leaving a poly with non-zero constant term."""
-    k = 0
-    while k < len(p) and p[k] == 0:
-        k += 1
-    return make(p[k:])
-
-
-def to_integer(p: Coeffs) -> tuple[int, ...]:
-    """Clear denominators and content; result is primitive with positive leading
-    coefficient (empty tuple for zero)."""
-    if not p:
-        return ()
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p]
+    scale = _int_lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (scale // c.denominator) for c in p]
     content = zz_content(ints)
     return tuple(v // content for v in ints)
+
+
+def monic_key(f) -> tuple:
+    """Sort key of a non-zero polynomial: its degree, then the coefficients
+    of its monic multiple, so that rational multiples of one polynomial
+    share a key."""
+    return len(f) - 1, tuple(Fraction(c, f[-1]) for c in f)
 
 
 # -- integer polynomials -------------------------------------------------------
 #
 # Lists of ints in ascending degree with no trailing zeros; [] is zero.  Exact
-# factoring over Q runs here, on the primitive integer multiple of a Coeffs.
+# factoring over Q runs here, on the primitive integer multiple.
 
 
 def _trim(a: list) -> list:
@@ -209,7 +146,7 @@ def next_xi(xi: int) -> int:
     return max(xi + 1, xi * 73794 * isqrt(isqrt(xi)) // 27011)
 
 
-def zz_gcd(a: list, b: list) -> tuple[list, list, list]:
+def gcd(a: list, b: list) -> tuple[list, list, list]:
     """(h, a/h, b/h) with h = gcd(a, b) in Z[t], positive leading coefficient.
 
     Heuristic gcd (Char-Geddes-Gonnet): the integer gcd of a(xi) and b(xi),
@@ -239,7 +176,7 @@ def zz_gcd(a: list, b: list) -> tuple[list, list, list]:
         xi = next_xi(xi)
 
 
-def yun(f: list, gcd=zz_gcd, derivative=zz_derivative, sub=zz_sub) -> list[tuple[list, int]]:
+def yun(f: list, gcd=gcd, derivative=zz_derivative, sub=zz_sub) -> list[tuple[list, int]]:
     """Yun's squarefree decomposition (SYMSAC 1976) of f, primitive over a
     ring where ``gcd`` returns (gcd, cofactor, cofactor): the parts a_i of
     degree >= 1 with f = unit * prod a_i^i, as (a_i, i) by increasing i.
@@ -518,27 +455,28 @@ def _factor_squarefree(f: list) -> list[list]:
     return _zassenhaus(f)
 
 
-def factor_rational(p: Coeffs) -> list[tuple[Coeffs, int]]:
-    """Irreducible factorization over Q, constants dropped.
+def factor_rational(p) -> list[tuple[tuple[int, ...], int]]:
+    """Irreducible factorization over Q of a polynomial with rational
+    coefficients, constants dropped.
 
-    Returns (monic factor, multiplicity) pairs sorted by (degree, coefficients),
-    so Galois orbits of roots can be read off exactly.  The power of t is
-    split off, Yun's algorithm gives the squarefree parts over Z, and each
-    part is factored by ``_factor_squarefree``: quadratics by their
-    discriminant, t^n +- 1 into cyclotomic polynomials, everything else by
-    Zassenhaus.
+    Returns (factor, multiplicity) pairs, each factor a primitive integer
+    tuple with positive leading coefficient, sorted by ``monic_key`` so
+    Galois orbits of roots can be read off exactly.  The power of t is split
+    off, Yun's algorithm gives the squarefree parts over Z, and each part is
+    factored by ``_factor_squarefree``: quadratics by their discriminant,
+    t^n +- 1 into cyclotomic polynomials, everything else by Zassenhaus.
     """
-    if degree(p) <= 0:
-        return []
     f = list(to_integer(p))
+    if len(f) <= 1:
+        return []
     k = 0
     while not f[k]:
         k += 1
-    out = [(make([0, 1]), k)] if k else []
+    out = [((0, 1), k)] if k else []
     f = f[k:]
     if len(f) > 1:
         for part, mult in yun(f):
             for fac in _factor_squarefree(_primitive(part)):
-                out.append((tuple(Fraction(c, fac[-1]) for c in fac), mult))
-    out.sort(key=lambda fm: (degree(fm[0]), fm[0]))
+                out.append((tuple(fac), mult))
+    out.sort(key=lambda fm: monic_key(fm[0]))
     return out

@@ -115,41 +115,29 @@ class ResolutionData:
 
 class RationalFunction:
     """Ratio of integer-coefficient polynomials in s, in canonical form:
-    gcd(num, den) = 1 over Q, both primitive, den has positive leading
-    coefficient.  Equality of values == equality of coefficient tuples."""
+    gcd(num, den) = 1 over Q, the coefficients of num and den together have
+    gcd 1, and den has positive leading coefficient.  Equality of values ==
+    equality of coefficient tuples."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = unipoly.make(num)
-        den = unipoly.make(den)
-        if unipoly.is_zero(den):
+        # clear denominators jointly, so num / den keeps its value
+        num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+        scale = _int_lcm(*(c.denominator for c in num + den))
+        num, den = _integral(num, scale), _integral(den, scale)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if unipoly.is_zero(num):
-            object.__setattr__(self, "num", (0,))
-            object.__setattr__(self, "den", (1,))
-            return
-        g = unipoly.gcd(num, den)
-        num = unipoly.divmod_poly(num, g)[0]
-        den = unipoly.divmod_poly(den, g)[0]
-        # clear denominators and joint content: the pair (num, den) is scaled by
-        # one rational so both are integral, gcd of all coefficients is 1, and
-        # the denominator's leading coefficient is positive
-        lcm = 1
-        for c in list(num) + list(den):
-            lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-        num_i = [int(c * lcm) for c in num]
-        den_i = [int(c * lcm) for c in den]
-        content = 0
-        for v in num_i + den_i:
-            content = _int_gcd(content, abs(v))
-        num_i = [v // content for v in num_i]
-        den_i = [v // content for v in den_i]
-        if den_i[-1] < 0:
-            num_i = [-v for v in num_i]
-            den_i = [-v for v in den_i]
-        object.__setattr__(self, "num", tuple(num_i))
-        object.__setattr__(self, "den", tuple(den_i))
+        if not num:
+            num, den = [0], [1]
+        else:
+            # the cofactors of the gcd have coprime contents (Gauss's lemma),
+            # so they carry no joint content
+            _, num, den = unipoly.gcd(num, den)
+            if den[-1] < 0:
+                num, den = [-c for c in num], [-c for c in den]
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", tuple(den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -177,8 +165,10 @@ class RationalFunction:
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
-            unipoly.add(unipoly.mul(self.num, other.den), unipoly.mul(other.num, self.den)),
-            unipoly.mul(self.den, other.den),
+            unipoly.zz_add(
+                unipoly.zz_mul(self.num, other.den), unipoly.zz_mul(other.num, self.den)
+            ),
+            unipoly.zz_mul(self.den, other.den),
         )
 
     def __neg__(self) -> "RationalFunction":
@@ -189,7 +179,7 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
-            unipoly.mul(self.num, other.num), unipoly.mul(self.den, other.den)
+            unipoly.zz_mul(self.num, other.num), unipoly.zz_mul(self.den, other.den)
         )
 
     def __eq__(self, other) -> bool:
@@ -203,10 +193,10 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def evaluate(self, x) -> Fraction:
-        denom = unipoly.evaluate(unipoly.make(self.den), x)
+        denom = unipoly.evaluate(self.den, x)
         if denom == 0:
             raise ZeroDivisionError(f"pole at {x}")
-        return unipoly.evaluate(unipoly.make(self.num), x) / denom
+        return unipoly.evaluate(self.num, x) / denom
 
     def pole_order(self, location) -> int:
         """Multiplicity of the rational ``location`` as a root of the
@@ -225,6 +215,15 @@ class RationalFunction:
         if self.den == (1,):
             return _poly_text(self.num)
         return f"({_poly_text(self.num)}) / ({_poly_text(self.den)})"
+
+
+def _integral(coeffs: list, scale: int) -> list:
+    """scale * coeffs as ints, trailing zeros dropped; scale clears every
+    denominator of coeffs."""
+    out = [c.numerator * (scale // c.denominator) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _times_form(p: list, form: tuple, times: int) -> list:

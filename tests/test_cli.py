@@ -240,6 +240,22 @@ def test_explain_smooth(capsys):
     assert "identity resolution" in out
 
 
+@pytest.mark.parametrize("pipeline", ["both", "blowup", "toric"])
+def test_explain_checks_reducedness_on_every_pipeline(capsys, pipeline):
+    # x^2*y + x^5 = x^2 (y + x^3): the repeated factor x passes through the origin
+    code, out, err = run(capsys, "explain", "--poly", "x^2*y+x^5", "--pipeline", pipeline)
+    assert code == 1 and out == ""
+    assert "not reduced" in err
+    code, out, _ = run(
+        capsys, "explain", "--poly", "x^2*y+x^5", "--pipeline", pipeline,
+        "--allow-nonreduced",
+    )
+    assert code == 0
+    if pipeline != "blowup":
+        assert "(1, 0): N = 2, sigma = 1 [original]" in out
+        assert "    Ax: (2, 1)" in out
+
+
 def test_parser_rejects_unknown_pipeline():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["zeta", "--poly", "x", "--pipeline", "nope"])

@@ -6,7 +6,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topzeta import unipoly as up
 from topzeta.errors import (
     FaceMismatch,
     NonVanishingAtOrigin,
@@ -278,10 +277,14 @@ def test_germ_factors_keep_units_inside_parts():
 def test_segment_face_coeffs():
     f = P("x^2 + y^3")
     seg = newton_polygon_local(f).segments()[0]
-    assert segment_face_coeffs(f, seg) == up.make([1, 1])
+    assert segment_face_coeffs(f, seg) == (1, 1)
     g = P("x^2 + 2*x*y + y^2")
     seg = newton_polygon_local(g).segments()[0]
-    assert segment_face_coeffs(g, seg) == up.make([1, 2, 1])
+    assert segment_face_coeffs(g, seg) == (1, 2, 1)
+    # rational coefficients give the primitive integer multiple
+    h = P("-1/2*x^2 + 3/4*y^3")
+    seg = newton_polygon_local(h).segments()[0]
+    assert segment_face_coeffs(h, seg) == (-2, 3)
 
 
 def up_to_constant(parts):

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -145,6 +146,35 @@ def test_rf_addition_commutative(a, b):
 def test_rf_addition_associative(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
+
+
+def sympy_coeffs(expr):
+    """Ascending Fraction coefficients of a polynomial expression in s."""
+    poly = sympy.Poly(expr, _s, domain="QQ")
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(rationals, min_size=1, max_size=4),
+    st.lists(rationals, min_size=1, max_size=4).filter(any),
+    st.lists(rationals, min_size=1, max_size=3).filter(any),
+)
+def test_rf_constructor_matches_sympy_cancel(num, den, common):
+    # a common factor c must cancel: RationalFunction(num*c, den*c) is
+    # sympy's cancel(num/den) scaled to integer coefficients with joint gcd 1
+    # and a positive leading denominator coefficient
+    n, d, c = (
+        sum(sympy.Rational(a.numerator, a.denominator) * _s**i for i, a in enumerate(p))
+        for p in (num, den, common)
+    )
+    z = RationalFunction(sympy_coeffs(n * c), sympy_coeffs(d * c))
+    p, q = map(sympy_coeffs, sympy.fraction(sympy.cancel(n / d)))
+    scale = math.lcm(*(a.denominator for a in p + q))
+    p, q = [int(a * scale) for a in p], [int(a * scale) for a in q]
+    content = math.gcd(*p, *q) * (1 if q[-1] > 0 else -1)
+    assert z.num == tuple(a // content for a in p)
+    assert z.den == tuple(a // content for a in q)
 
 
 def test_str_rendering():
