@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import TheoremViolation
 from .zeta_core import PoleTable, RationalFunction, ResolutionData, lct_local
@@ -185,19 +186,38 @@ def acampo_zeta(rd: ResolutionData) -> CyclotomicRF:
     return CyclotomicRF.from_exponents(exponents)
 
 
+def _divisors(m: int) -> list[int]:
+    small = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in small if d * d != m]
+
+
 @dataclass(frozen=True)
 class EigenvalueSet:
-    """Certified monodromy eigenvalues exp(2*pi*i*q) as reduced fractions
-    q in [0,1), each with a provenance string."""
+    """Certified monodromy eigenvalues exp(2*pi*i*q), kept as the cyclotomic
+    orders they come from: q in [0,1) is in the set exactly when its reduced
+    denominator divides one of ``orders``."""
 
-    fractions: frozenset
-    provenance: tuple    # ((fraction, reason), ...) deterministic order
+    orders: frozenset
+    provenance: tuple    # ((m, reason), ...) one line per order, first reason
 
     def __contains__(self, q) -> bool:
-        return Fraction(q) % 1 in self.fractions
+        d = Fraction(q).denominator
+        return any(m % d == 0 for m in self.orders)
 
-    def sorted(self):
-        return sorted(self.fractions)
+    def pairs(self) -> list[tuple[int, int]]:
+        """The exponents q = k/d as (k, d) in lowest terms, sorted by value.
+
+        With D the divisors of the orders and L = lcm(D), k/d < k'/d' iff
+        k*(L/d) < k'*(L/d'), so the sort runs on integers alone."""
+        dens = {d for m in self.orders for d in _divisors(m)}
+        L = lcm(*dens)
+        keyed = sorted(
+            (k * (L // d), k, d) for d in dens for k in range(d) if gcd(k, d) == 1
+        )
+        return [(k, d) for _, k, d in keyed]
+
+    def sorted(self) -> list[Fraction]:
+        return [Fraction(k, d) for k, d in self.pairs()]
 
 
 def monodromy_eigenvalues_germ(rd: ResolutionData) -> EigenvalueSet:
@@ -205,21 +225,13 @@ def monodromy_eigenvalues_germ(rd: ResolutionData) -> EigenvalueSet:
     germ: roots of unity seen by the zeros and poles of the monodromy zeta
     function, the eigenvalues at nearby smooth points of each branch, and the
     trivial eigenvalue from H^0."""
-    sources = []
-    for m, e in acampo_zeta(rd).factors:
-        sources.append((m, f"order-{m} factor of the monodromy zeta function"))
+    reasons = {}
+    for m, _ in acampo_zeta(rd).factors:
+        reasons.setdefault(m, f"order-{m} factor of the monodromy zeta function")
     for m in rd.branch_multiplicities():
-        sources.append((m, f"nearby points of a multiplicity-{m} branch"))
-    sources.append((1, "H^0 of nearby smooth points"))
-    fractions = {}
-    for m, reason in sources:
-        for k in range(m):
-            q = Fraction(k, m)
-            fractions.setdefault(q, reason)
-    return EigenvalueSet(
-        frozenset(fractions),
-        tuple(sorted(fractions.items())),
-    )
+        reasons.setdefault(m, f"nearby points of a multiplicity-{m} branch")
+    reasons.setdefault(1, "H^0 of nearby smooth points")
+    return EigenvalueSet(frozenset(reasons), tuple(reasons.items()))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from importlib import resources
 
 from . import formats
 from .analysis import (
@@ -140,7 +140,7 @@ def result_to_json(res) -> dict:
         "prediction": formats.prediction_to_json(res["prediction"]),
         "monodromy_zeta": [[m, e] for m, e in res["acampo"].factors],
         "eigenvalues": [
-            formats.rational_to_json(q) for q in res["eigenvalues"].sorted()
+            {"num": k, "den": d} for k, d in res["eigenvalues"].pairs()
         ],
         "conjecture3": [
             [formats.rational_to_json(loc), status]
@@ -225,7 +225,7 @@ def render_human(source: dict, results: dict) -> str:
 
 
 def corpus_path_default() -> str:
-    return str(resources.files("topzeta").joinpath(DEFAULT_CORPUS))
+    return os.path.join(os.path.dirname(__file__), DEFAULT_CORPUS)
 
 
 def load_corpus(path: str) -> dict:
@@ -426,8 +426,28 @@ def _strata_lines(rd):
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1 (invalid input), because 2 is
+    reserved for theorem violations.  The token after ``--poly`` (or its
+    abbreviation ``--po``, ``--pol``) is always its value, so a germ such as
+    ``-x^2-y^3`` is not read as an option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        i = 0
+        while i < len(args) - 1:
+            if args[i].startswith("--po") and "--poly".startswith(args[i]):
+                args[i : i + 2] = [f"--poly={args[i + 1]}"]
+            i += 1
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="topzeta",
         description=(
             "Exact local and global topological zeta functions of hypersurface "

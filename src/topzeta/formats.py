@@ -26,12 +26,19 @@ def rational_from_json(doc) -> Fraction:
     if not isinstance(doc, dict) or set(doc) != {"num", "den"}:
         raise InvalidResolutionData(f"bad rational {doc!r}")
     num, den = doc["num"], doc["den"]
-    if not isinstance(num, int) or not isinstance(den, int) or den <= 0:
+    if type(num) is not int or type(den) is not int or den <= 0:
         raise InvalidResolutionData(f"bad rational {doc!r}")
     q = Fraction(num, den)
     if q.numerator != num or q.denominator != den:
         raise InvalidResolutionData(f"rational {doc!r} is not in lowest terms")
     return q
+
+
+def _int(value, what) -> int:
+    """A JSON integer; floats, booleans, strings and null are rejected."""
+    if type(value) is not int:
+        raise InvalidResolutionData(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _check_fields(doc, required, optional, what):
@@ -98,7 +105,7 @@ def resolution_from_json(doc) -> tuple[ResolutionData, dict]:
         )
         components.append(
             Component(
-                str(c["id"]), int(c["N"]), int(c["nu"]),
+                str(c["id"]), _int(c["N"], "N"), _int(c["nu"], "nu"),
                 bool(c.get("meets_origin_fiber", True)),
             )
         )
@@ -111,8 +118,8 @@ def resolution_from_json(doc) -> tuple[ResolutionData, dict]:
         strata.append(
             Stratum(
                 frozenset(str(i) for i in st["ids"]),
-                int(st.get("chi_total", 0)),
-                int(st.get("chi_origin", 0)),
+                _int(st.get("chi_total", 0), "chi_total"),
+                _int(st.get("chi_origin", 0), "chi_origin"),
             )
         )
     empty = doc.get("empty_stratum", {})
@@ -123,11 +130,11 @@ def resolution_from_json(doc) -> tuple[ResolutionData, dict]:
     if not isinstance(metadata, dict):
         raise InvalidResolutionData("metadata must be an object")
     rd = ResolutionData(
-        ambient_dim=int(doc["ambient_dim"]),
+        ambient_dim=_int(doc["ambient_dim"], "ambient_dim"),
         components=tuple(components),
         strata=tuple(strata),
-        empty_chi_total=int(empty.get("chi_total", 0)),
-        empty_chi_origin=int(empty.get("chi_origin", 0)),
+        empty_chi_total=_int(empty.get("chi_total", 0), "empty_stratum chi_total"),
+        empty_chi_origin=_int(empty.get("chi_origin", 0), "empty_stratum chi_origin"),
         scope=str(doc["scope"]),
         branch_ids=tuple(str(b) for b in doc.get("branch_ids", ())),
     )

@@ -279,12 +279,17 @@ class _Parser:
         atom   := number | name | '(' expr ')'
 
     '^' binds tighter than '*', which binds tighter than '+'/'-'; implicit
-    multiplication is not part of the grammar.
+    multiplication is not part of the grammar.  Each '(' costs five stack
+    frames, so nesting deeper than MAX_NESTING is a ParseError, far below
+    Python's recursion limit.
     """
+
+    MAX_NESTING = 100
 
     def __init__(self, tokens, variables, num_vars):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.vars = {name: k for k, name in enumerate(variables)}
         self.num_vars = num_vars
 
@@ -360,8 +365,14 @@ class _Parser:
                 raise UnknownVariable(f"unknown variable {val!r}", pos)
             return Poly.variable(self.vars[val], self.num_vars)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {self.MAX_NESTING}", pos
+                )
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, variable or '('", pos)
 

@@ -1,6 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topzeta.analysis import (
     CyclotomicRF,
@@ -15,9 +18,11 @@ from topzeta.analysis import (
     monodromy_eigenvalues_germ,
     predicted_bfunction_divisor,
 )
+from topzeta.cli import analyze_poly
 from topzeta.curve_resolution import resolve_curve_germ
 from topzeta.errors import TheoremViolation
 from topzeta.polynomial import parse_poly
+from topzeta.toric_curve import toric_resolution_data
 from topzeta.zeta_core import (
     Component,
     PoleTable,
@@ -218,6 +223,89 @@ def test_eigenvalues_monomial():
     assert set(ev.sorted()) == {F(k, 4) for k in range(4)}
 
 
+def test_eigenvalue_orders_and_provenance_cusp():
+    ev = monodromy_eigenvalues_germ(cusp_rd())
+    assert ev.orders == {1, 2, 3, 6}
+    # one line per order with its first reason, in the order the sources are
+    # met: the monodromy zeta factors, the branches, then H^0
+    assert ev.provenance == (
+        (2, "order-2 factor of the monodromy zeta function"),
+        (3, "order-3 factor of the monodromy zeta function"),
+        (6, "order-6 factor of the monodromy zeta function"),
+        (1, "nearby points of a multiplicity-1 branch"),
+    )
+    ev = monodromy_eigenvalues_germ(
+        resolve_curve_germ(P("x^2*y"), allow_nonreduced=True)
+    )
+    assert ev.provenance == (
+        (1, "nearby points of a multiplicity-1 branch"),
+        (2, "nearby points of a multiplicity-2 branch"),
+    )
+
+
+def _reference_eigenvalues(orders):
+    """The set of exponents as the fractions k/m, one per root of unity."""
+    return sorted({F(k, m) for m in orders for k in range(m)})
+
+
+def _reference_orders(rd):
+    return (
+        [m for m, _ in acampo_zeta(rd).factors] + rd.branch_multiplicities() + [1]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    orders=st.frozensets(st.integers(1, 360), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_pairs_match_sorted_fractions(orders, data):
+    ev = EigenvalueSet(orders, tuple((m, "drawn") for m in sorted(orders)))
+    reference = _reference_eigenvalues(orders)
+    assert ev.pairs() == [(q.numerator, q.denominator) for q in reference]
+    assert ev.sorted() == reference
+    members = set(reference)
+    q = data.draw(
+        st.one_of(
+            st.fractions(min_value=-3, max_value=3, max_denominator=720),
+            st.integers(-3, 3).map(F),
+            st.sampled_from(reference).flatmap(
+                lambda r: st.integers(-3, 3).map(lambda n: r + n)
+            ),
+        )
+    )
+    assert (q in ev) == (q % 1 in members)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x*y", "x^2 + y^3", "x^4 + y^6", "x^5 + y^7", "x^4 + y^4 + x*y^3",
+     "(x^2 + y^3)*(x^3 + y^2)", "(y^2 - x^3)*(y^2 - 2*x^3)", "x^4 - 2*y^4"],
+)
+def test_germ_eigenvalues_match_fraction_reference(text):
+    for rd in (resolve_curve_germ(P(text)), toric_resolution_data(P(text))):
+        ev = monodromy_eigenvalues_germ(rd)
+        orders = _reference_orders(rd)
+        assert ev.orders == set(orders)
+        assert [m for m, _ in ev.provenance] == list(dict.fromkeys(orders))
+        assert ev.sorted() == _reference_eigenvalues(orders)
+
+
+def test_large_brieskorn_eigenvalues_are_fast():
+    # 5917 = 61 * 97 roots of unity; listing them one Fraction each took
+    # longer than resolving the germ
+    ev = monodromy_eigenvalues_germ(resolve_curve_germ(P("x^61 + y^97")))
+    pairs = ev.pairs()
+    assert len(pairs) == 5917
+    assert pairs[:2] == [(0, 1), (1, 5917)] and pairs[-1] == (5916, 5917)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        analyze_poly("x^61+y^97", "both")
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.05
+
+
 def test_eigenvalue_membership_mod_one():
     ev = monodromy_eigenvalues_germ(cusp_rd())
     assert F(-5, 6) in ev          # exp(-2 pi i 5/6) = exp(2 pi i /6)
@@ -256,8 +344,8 @@ def test_conjecture3_monotone_under_enlargement():
     pt = poles(zeta_local(rd), rd)
     small = monodromy_eigenvalues_germ(rd)
     enlarged = EigenvalueSet(
-        small.fractions | {F(1, 7), F(3, 11)},
-        small.provenance,
+        small.orders | {7, 11},
+        small.provenance + ((7, "added"), (11, "added")),
     )
     before = check_conjecture3(pt, small).results
     after = check_conjecture3(pt, enlarged).results

@@ -139,6 +139,67 @@ def test_zeta_requires_exactly_one_input(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["zeta", "--bogus"], [], ["zeta", "--poly", "x", "--pipeline", "nope"]],
+    ids=["unknown-option", "no-subcommand", "bad-choice"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    # exit code 2 is reserved for theorem violations
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: topzeta") and "error:" in err
+
+
+def test_poly_value_may_start_with_minus(capsys):
+    code, out, _ = run(capsys, "zeta", "--poly", "-x^2-y^3", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["input"] == {"poly": "-x^2-y^3"}
+    assert run(capsys, "zeta", "--poly=-x^2-y^3", "--format", "machine")[1] == out
+    assert run(capsys, "zeta", "--pol", "-x^2-y^3", "--format", "machine")[1] == out
+    code, out, _ = run(capsys, "explain", "--poly", "-x^2-y^3", "--pipeline", "toric")
+    assert code == 0 and out.startswith("input: -x^2-y^3\n")
+
+
+def test_usage_error_process_exit_code():
+    src = str(Path(__import__("topzeta").__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "topzeta", "zeta", "--bogus"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src, "PATH": ""},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("components", 0, "N"), 2.5), (("components", 0, "N"), True),
+     (("components", 0, "N"), "two"), (("components", 0, "N"), None),
+     (("components", 1, "nu"), 1.0), (("strata", 0, "chi_total"), "1"),
+     (("ambient_dim",), False), (("empty_stratum", "chi_origin"), None)],
+)
+def test_resolution_document_integer_fields(capsys, tmp_path, path, value):
+    doc = json.loads((DATA / "violation.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "zeta", "--file", str(file), "--pipeline", "file")
+    assert code == 1
+    assert err.startswith("error:") and "must be an integer" in err
+
+
+def test_deeply_nested_parentheses_exit_1(capsys):
+    text = "(" * 3000 + "x" + ")" * 3000 + "+y^2"
+    code, _, err = run(capsys, "zeta", "--poly", text)
+    assert code == 1
+    assert err.startswith("error: parentheses nested deeper than")
+
+
 def test_global_scope_needs_file(capsys):
     code, _, err = run(capsys, "zeta", "--poly", "x*y", "--scope", "global")
     assert code == 1

@@ -85,6 +85,26 @@ def test_duplicate_ids_rejected():
         resolution_from_json(doc)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "two", None])
+def test_integer_fields_reject_other_json_types(value):
+    # an integer-valued float would be truncated and a bool read as 0 or 1
+    for path in (("components", 0, "N"), ("components", 1, "nu"),
+                 ("strata", 0, "chi_origin"), ("ambient_dim",),
+                 ("empty_stratum", "chi_total")):
+        doc = resolution_to_json(monomial_resolution_data(2, 2))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InvalidResolutionData, match="must be an integer"):
+            resolution_from_json(doc)
+
+
+def test_rational_rejects_booleans():
+    with pytest.raises(InvalidResolutionData):
+        rational_from_json({"num": True, "den": 1})
+
+
 def test_zeta_serialization():
     z = RationalFunction((5, 4), (5, 11, 6))
     assert zeta_to_json(z) == {"num": [5, 4], "den": [5, 11, 6]}

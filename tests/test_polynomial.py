@@ -14,6 +14,7 @@ from topzeta.errors import (
 )
 from topzeta.polynomial import (
     Poly,
+    _Parser,
     face_poly,
     germ_factors,
     is_nondegenerate_curve,
@@ -69,6 +70,16 @@ def test_parse_errors_are_positioned():
         P("x^(2)")  # exponent must be an integer literal
     with pytest.raises(ParseError):
         P("")
+
+
+def test_parse_nesting_depth_is_bounded():
+    depth = _Parser.MAX_NESTING
+    assert P("(" * depth + "x" + ")" * depth + "+y^2") == P("x+y^2")
+    with pytest.raises(ParseError, match="nested deeper") as e:
+        P("(" * 3000 + "x" + ")" * 3000 + "+y^2")
+    assert e.value.position == depth
+    with pytest.raises(ParseError, match="nested deeper"):
+        P("(" * (depth + 1) + "x" + ")" * (depth + 1))
 
 
 def test_parse_unknown_variable():
