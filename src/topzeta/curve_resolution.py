@@ -109,7 +109,7 @@ def _chart_a(poly: Poly, m: int) -> Poly:
     """Strict transform in chart (u, v) = (a, a*b): exponent remap
     (i, j) -> (i + j - m, j), dividing out a^m exactly."""
     terms = {(i + j - m, j): c for (i, j), c in poly.terms.items()}
-    out = Poly(terms, 2)
+    out = Poly._from_canonical(terms, 2)
     if out.min_exponent(0) != 0:
         raise AssertionError("inexact division by the exceptional coordinate")
     return out
@@ -118,7 +118,7 @@ def _chart_a(poly: Poly, m: int) -> Poly:
 def _chart_b(poly: Poly, m: int) -> Poly:
     """Strict transform in chart (u, v) = (a*b, b): (i, j) -> (i, i + j - m)."""
     terms = {(i, i + j - m): c for (i, j), c in poly.terms.items()}
-    out = Poly(terms, 2)
+    out = Poly._from_canonical(terms, 2)
     if out.min_exponent(1) != 0:
         raise AssertionError("inexact division by the exceptional coordinate")
     return out

@@ -41,6 +41,20 @@ def _int(value, what) -> int:
     return value
 
 
+def _bool(value, what) -> bool:
+    """A JSON boolean; strings, numbers and null are rejected."""
+    if type(value) is not bool:
+        raise InvalidResolutionData(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _strings(value, what) -> list:
+    """A JSON list of strings; a bare string is not split into characters."""
+    if type(value) is not list or any(type(v) is not str for v in value):
+        raise InvalidResolutionData(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
 def _check_fields(doc, required, optional, what):
     if not isinstance(doc, dict):
         raise InvalidResolutionData(f"{what} must be an object")
@@ -106,7 +120,7 @@ def resolution_from_json(doc) -> tuple[ResolutionData, dict]:
         components.append(
             Component(
                 str(c["id"]), _int(c["N"], "N"), _int(c["nu"], "nu"),
-                bool(c.get("meets_origin_fiber", True)),
+                _bool(c.get("meets_origin_fiber", True), "meets_origin_fiber"),
             )
         )
     strata = []
@@ -117,7 +131,7 @@ def resolution_from_json(doc) -> tuple[ResolutionData, dict]:
         )
         strata.append(
             Stratum(
-                frozenset(str(i) for i in st["ids"]),
+                frozenset(_strings(st["ids"], "stratum ids")),
                 _int(st.get("chi_total", 0), "chi_total"),
                 _int(st.get("chi_origin", 0), "chi_origin"),
             )
@@ -136,7 +150,7 @@ def resolution_from_json(doc) -> tuple[ResolutionData, dict]:
         empty_chi_total=_int(empty.get("chi_total", 0), "empty_stratum chi_total"),
         empty_chi_origin=_int(empty.get("chi_origin", 0), "empty_stratum chi_origin"),
         scope=str(doc["scope"]),
-        branch_ids=tuple(str(b) for b in doc.get("branch_ids", ())),
+        branch_ids=tuple(_strings(doc.get("branch_ids", []), "branch_ids")),
     )
     return rd, metadata
 

@@ -1,16 +1,20 @@
-"""Sparse multivariate polynomials over Q, Newton polygons and germ tests.
+"""Sparse multivariate polynomials over Z, Newton polygons and germ tests.
 
 The ``Poly`` type is the input data model for the whole package: germs of
 plane curves are parsed into it, the Newton polygon is read off its support,
-and both resolution pipelines consume it.  Coefficients are exact rationals;
-a polynomial is a canonical map from exponent vectors to non-zero coefficients.
+and both resolution pipelines consume it.  Coefficients are Python ints and
+are never divided except by a common factor: a germ's zero set does not
+change under scaling, so rational input is cleared to an integer multiple
+once, at parse time.  A polynomial is a canonical map from exponent vectors
+to non-zero coefficients.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from . import unipoly
 from .errors import (
@@ -22,11 +26,13 @@ from .errors import (
 
 
 class Poly:
-    """Immutable sparse polynomial in ``num_vars`` variables over Q.
+    """Immutable sparse polynomial in ``num_vars`` variables over Z.
 
-    ``terms`` maps exponent tuples to non-zero ``Fraction`` coefficients; two
+    ``terms`` maps exponent tuples to non-zero ``int`` coefficients; two
     polynomials are equal iff their term maps are equal, so the representation
-    is canonical by construction.
+    is canonical by construction.  The constructor takes an ``int`` or an
+    integral ``Fraction`` per term and raises ``ValueError`` on a non-integral
+    coefficient.
     """
 
     __slots__ = ("terms", "num_vars")
@@ -39,11 +45,25 @@ class Poly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != num_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator != 1:
+                    raise ValueError(f"coefficient {coeff} is not an integer")
+                coeff = coeff.numerator
+            if coeff:
                 clean[exps] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "num_vars", num_vars)
+
+    @classmethod
+    def _from_canonical(cls, terms: dict, num_vars: int) -> "Poly":
+        """Wrap a term map that is already canonical (exponent tuples of
+        length ``num_vars`` to non-zero ints), skipping the checks of the
+        public constructor."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "num_vars", num_vars)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -56,13 +76,13 @@ class Poly:
 
     @classmethod
     def constant(cls, c, num_vars: int) -> "Poly":
-        return cls({(0,) * num_vars: Fraction(c)}, num_vars)
+        return cls({(0,) * num_vars: c}, num_vars)
 
     @classmethod
     def variable(cls, index: int, num_vars: int) -> "Poly":
         exps = [0] * num_vars
         exps[index] = 1
-        return cls({tuple(exps): Fraction(1)}, num_vars)
+        return cls._from_canonical({tuple(exps): 1}, num_vars)
 
     def _check_compat(self, other: "Poly"):
         if self.num_vars != other.num_vars:
@@ -72,11 +92,15 @@ class Poly:
         self._check_compat(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(terms, self.num_vars)
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return Poly._from_canonical(terms, self.num_vars)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, self.num_vars)
+        return Poly._from_canonical({e: -c for e, c in self.terms.items()}, self.num_vars)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -86,9 +110,9 @@ class Poly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(terms, self.num_vars)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly._from_canonical({e: c for e, c in terms.items() if c}, self.num_vars)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -98,8 +122,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -123,16 +148,11 @@ class Poly:
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms)
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps) -> int:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+    def constant_term(self) -> int:
+        return self.terms.get((0,) * self.num_vars, 0)
 
     def origin_multiplicity(self) -> int:
         """Order of vanishing at the origin (min total degree); -1 for zero."""
@@ -153,36 +173,52 @@ class Poly:
                 ne = list(e)
                 ne[var] -= 1
                 terms[tuple(ne)] = c * e[var]
-        return Poly(terms, self.num_vars)
-
-    def evaluate(self, point) -> Fraction:
-        point = [Fraction(v) for v in point]
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for ex, pv in zip(e, point):
-                val *= pv**ex
-            acc += val
-        return acc
+        return Poly._from_canonical(terms, self.num_vars)
 
     def substitute_shift(self, var: int, offset) -> "Poly":
-        """Replace x_var by (x_var + offset); exact binomial expansion."""
+        """A positive integer multiple of f(..., x_var + offset, ...).
+
+        With offset = p/q in lowest terms (q > 0) and d = deg_var f, the result
+        is q^d * f(..., x_var + p/q, ...), divided by its content when q > 1;
+        for integral offsets it is the exact shift.  The term c*x^k (in x_var)
+        contributes c*C(k, j)*p^(k-j)*q^(d-k+j) to x^j, since
+        q^d * (x + p/q)^k = q^(d-k) * (q*x + p)^k, so every coefficient is an
+        integer and none is divided except by the common content.
+
+        The result is lambda * f(..., x_var + p/q, ...) with the constant
+        lambda = q^d / content > 0.  Scaling by a non-zero constant keeps the
+        zero set and the support, hence the origin multiplicity, the vanishing
+        of every restriction and the Newton polygon; and a positive scale
+        leaves ``restrict_to_zero`` unchanged, since it returns the primitive
+        multiple with positive leading coefficient.  The blowup charts commute
+        with scaling, so the numerical data N and nu, every incidence and
+        every Euler characteristic computed downstream are those of the exact
+        shift.  The offset itself is not rescaled, so the next chart's roots,
+        and the centres they name, are unchanged too.
+        """
         offset = Fraction(offset)
-        if offset == 0:
+        if offset == 0 or not self.terms:
             return self
+        p, q = offset.numerator, offset.denominator
+        d = max(e[var] for e in self.terms)
+        p_pow = [p**i for i in range(d + 1)]
+        q_pow = [q**i for i in range(d + 1)]
         terms = {}
         for e, c in self.terms.items():
             k = e[var]
+            ne = list(e)
             binom = 1
-            power = Fraction(1)
             for j in range(k, -1, -1):
-                ne = list(e)
                 ne[var] = j
-                ne = tuple(ne)
-                terms[ne] = terms.get(ne, Fraction(0)) + c * binom * power
+                key = tuple(ne)
+                terms[key] = terms.get(key, 0) + c * binom * p_pow[k - j] * q_pow[d - k + j]
                 binom = binom * j // (k - j + 1)
-                power *= offset
-        return Poly(terms, self.num_vars)
+        terms = {e: c for e, c in terms.items() if c}
+        if q > 1:
+            content = gcd(*terms.values())
+            if content > 1:
+                terms = {e: c // content for e, c in terms.items()}
+        return Poly._from_canonical(terms, self.num_vars)
 
     def restrict_to_zero(self, var: int) -> tuple[int, ...]:
         """Set x_var = 0 in a 2-variable polynomial; return the primitive
@@ -216,13 +252,12 @@ class Poly:
                 elif k > 1:
                     factors.append(f"{name}^{k}")
             mag = abs(c)
-            coeff_txt = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
             if not factors:
-                body = coeff_txt
+                body = str(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([coeff_txt] + factors)
+                body = "*".join([str(mag)] + factors)
             pieces.append(("- " if c < 0 else "+ ") + body)
         head = pieces[0]
         head = "-" + head[2:] if head.startswith("- ") else head[2:]
@@ -270,6 +305,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _scale(f: Poly, k: int) -> Poly:
+    """k*f for a non-zero integer k."""
+    if k == 1:
+        return f
+    return Poly._from_canonical({e: c * k for e, c in f.terms.items()}, f.num_vars)
+
+
 class _Parser:
     """Recursive-descent parser for the grammar
 
@@ -282,6 +324,10 @@ class _Parser:
     multiplication is not part of the grammar.  Each '(' costs five stack
     frames, so nesting deeper than MAX_NESTING is a ParseError, far below
     Python's recursion limit.
+
+    Every value is a pair (g, d) of an integer Poly g and a positive integer
+    d, standing for g/d; a rational literal is its own pair and the
+    operations keep both parts integral.
     """
 
     MAX_NESTING = 100
@@ -307,63 +353,66 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse(self) -> Poly:
+    def parse(self) -> tuple[Poly, int]:
         result = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return result
 
-    def expr(self) -> Poly:
-        acc = self.signed_term()
+    def expr(self) -> tuple[Poly, int]:
+        acc, d = self.signed_term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.signed_term()
-                acc = acc + rhs if val == "+" else acc - rhs
+                rhs, d_rhs = self.signed_term()
+                common = lcm(d, d_rhs)
+                acc, rhs = _scale(acc, common // d), _scale(rhs, common // d_rhs)
+                acc, d = (acc + rhs if val == "+" else acc - rhs), common
             else:
-                return acc
+                return acc, d
 
-    def signed_term(self) -> Poly:
+    def signed_term(self) -> tuple[Poly, int]:
         negate = False
         kind, val, _ = self.peek()
         while kind == "op" and val == "-":
             self.advance()
             negate = not negate
             kind, val, _ = self.peek()
-        t = self.term()
-        return -t if negate else t
+        t, d = self.term()
+        return (-t if negate else t), d
 
-    def term(self) -> Poly:
-        acc = self.factor()
+    def term(self) -> tuple[Poly, int]:
+        acc, d = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                acc = acc * self.factor()
+                rhs, d_rhs = self.factor()
+                acc, d = acc * rhs, d * d_rhs
             else:
-                return acc
+                return acc, d
 
-    def factor(self) -> Poly:
-        base = self.atom()
+    def factor(self) -> tuple[Poly, int]:
+        base, d = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.advance()
             kind, val, pos = self.advance()
             if kind != "number" or val.denominator != 1 or val < 0:
                 raise ParseError("exponent must be a non-negative integer", pos)
-            return base ** int(val)
-        return base
+            return base ** int(val), d ** int(val)
+        return base, d
 
-    def atom(self) -> Poly:
+    def atom(self) -> tuple[Poly, int]:
         kind, val, pos = self.advance()
         if kind == "number":
-            return Poly.constant(val, self.num_vars)
+            return Poly.constant(val.numerator, self.num_vars), val.denominator
         if kind == "name":
             if val not in self.vars:
                 raise UnknownVariable(f"unknown variable {val!r}", pos)
-            return Poly.variable(self.vars[val], self.num_vars)
+            return Poly.variable(self.vars[val], self.num_vars), 1
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > self.MAX_NESTING:
@@ -378,11 +427,21 @@ class _Parser:
 
 
 def parse_poly(text: str, variables) -> Poly:
-    """Parse polynomial text over the named variables into a canonical Poly."""
+    """Parse polynomial text over the named variables into a canonical Poly.
+
+    The text denotes f with rational coefficients; the result is L*f, where L
+    is the least common multiple of the denominators of f's coefficients, so
+    the smallest positive integer multiple of f and f itself when every
+    coefficient is an integer.  With f = g/d from the parser, L = d/c for
+    c = gcd(content(g), d), and L*f = g/c."""
     variables = list(variables)
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
-    return _Parser(_tokenize(text), variables, len(variables)).parse()
+    g, d = _Parser(_tokenize(text), variables, len(variables)).parse()
+    c = gcd(d, *g.terms.values())
+    if c == 1:
+        return g
+    return Poly._from_canonical({e: v // c for e, v in g.terms.items()}, g.num_vars)
 
 
 # -- Newton polygon --------------------------------------------------------
@@ -647,8 +706,8 @@ def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
     for m in sorted(parts):
         part = parts[m]
         if not part[0] or not part[0][0]:  # vanishes at the origin
-            terms = {(i, j): Fraction(c) for j, co in enumerate(part) for i, c in enumerate(co) if c}
-            out.append((Poly(terms, 2), m))
+            terms = {(i, j): c for j, co in enumerate(part) for i, c in enumerate(co) if c}
+            out.append((Poly._from_canonical(terms, 2), m))
     return out
 
 

@@ -193,6 +193,27 @@ def test_resolution_document_integer_fields(capsys, tmp_path, path, value):
     assert err.startswith("error:") and "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [(("components", 0, "meets_origin_fiber"), "no", "must be true or false"),
+     (("strata", 0, "ids"), "E1", "must be a list of strings"),
+     (("branch_ids",), "E1", "must be a list of strings")],
+    ids=["meets_origin_fiber", "stratum-ids", "branch_ids"],
+)
+def test_resolution_document_bool_and_id_fields(capsys, tmp_path, path, value, message):
+    doc = json.loads((DATA / "violation.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "zeta", "--file", str(file), "--pipeline", "file")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_deeply_nested_parentheses_exit_1(capsys):
     text = "(" * 3000 + "x" + ")" * 3000 + "+y^2"
     code, _, err = run(capsys, "zeta", "--poly", text)

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from topzeta.cli import corpus_path_default
 from topzeta.curve_resolution import (
     NotReduced,
     blowup_step,
@@ -332,9 +335,34 @@ def test_substitute_shift_exact():
     # y -> y + 2: (y+2)^3 + x(y+2)
     expect = P("y^3 + 6*y^2 + 12*y + 8 + x*y + 2*x")
     assert shifted == expect
+    assert all(type(c) is int for c in shifted.terms.values())
     assert f.substitute_shift(1, 0) == f
+    # y -> y + 1/2 scaled by 2^2: 4*(y + 1/2)^2
     half = P("y^2").substitute_shift(1, "1/2")
+    assert half.terms == {(0, 2): 4, (0, 1): 4, (0, 0): 1}
     assert half == P("y^2 + y + 1/4")
+
+
+@pytest.mark.parametrize("text,allow_nonreduced", [
+    (entry["input"]["poly"], entry.get("allow_nonreduced", False))
+    for entry in json.loads(Path(corpus_path_default()).read_text())["entries"]
+    if "poly" in entry["input"]
+] + [
+    # rational centres and rational coefficients
+    ("(y-1/2*x)*(y-3/7*x)*(y+x)*(y-x^2)", False),
+    ("(2*y-3*x)*(5*y+x)*(y-1/2*x^3)", False),
+    ("(y^2-1/3*x^3)^2+5/7*x^7", False),
+    ("(y-2/3*x)^2-1/9*x^5", False),
+])
+def test_every_chart_has_integer_coefficients(text, allow_nonreduced):
+    state = initial_state(P(text), allow_nonreduced)
+    while True:
+        for chart in state.charts.values():
+            for cf in chart.factors:
+                assert all(type(c) is int for c in cf.poly.terms.values()), chart.description
+        if not state.pending_centers:
+            break
+        blowup_step(state, state.pending_centers[0])
 
 
 def test_irrational_orbit_shared_by_two_factors():

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import comb, factorial, gcd, lcm
 
 import pytest
 import sympy
@@ -32,7 +34,9 @@ def P(text, variables=("x", "y")):
 # -- parsing -----------------------------------------------------------------
 
 def test_parse_simple_terms():
-    assert P("x^2 + y^3").terms == {(2, 0): Fraction(1), (0, 3): Fraction(1)}
+    f = P("x^2 + y^3")
+    assert f.terms == {(2, 0): 1, (0, 3): 1}
+    assert all(type(c) is int for c in f.terms.values())
 
 
 def test_parse_cancellation_to_zero():
@@ -45,8 +49,13 @@ def test_parse_binomial_expansion():
 
 
 def test_parse_rational_literals_and_precedence():
+    # a rational germ parses to its smallest integer multiple: 2*(x^2/2 - 3y)
     f = P("1/2*x^2 - 3*y")
-    assert f.terms == {(2, 0): Fraction(1, 2), (0, 1): Fraction(-3)}
+    assert f.terms == {(2, 0): 1, (0, 1): -6}
+    assert all(type(c) is int for c in f.terms.values())
+    # smallest, not primitive: 3*(2/3*x^2 + 2/3*y); integer text is kept as is
+    assert P("4/6*x^2 + 2/3*y").terms == {(2, 0): 2, (0, 1): 2}
+    assert P("2*x^2 + 4*y").terms == {(2, 0): 2, (0, 1): 4}
     # ^ binds tighter than *, which binds tighter than -
     assert P("2*x^3") == P("2*(x^3)")
 
@@ -96,7 +105,8 @@ def test_no_implicit_multiplication():
 
 
 @st.composite
-def random_polys(draw):
+def rational_terms(draw):
+    """A term map with Fraction coefficients, none of them zero."""
     n_terms = draw(st.integers(0, 6))
     terms = {}
     for _ in range(n_terms):
@@ -104,13 +114,117 @@ def random_polys(draw):
         num = draw(st.integers(-30, 30))
         den = draw(st.integers(1, 9))
         terms[e] = terms.get(e, Fraction(0)) + Fraction(num, den)
-    return Poly(terms, 2)
+    return {e: c for e, c in terms.items() if c}
+
+
+def smallest_integer_multiple(terms):
+    """Reference for parse_poly: L*f, L the lcm of the coefficient denominators."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {e: int(c * scale) for e, c in terms.items()}
+
+
+@st.composite
+def random_polys(draw):
+    return Poly(smallest_integer_multiple(draw(rational_terms())), 2)
 
 
 @settings(max_examples=80, deadline=None)
 @given(random_polys())
 def test_print_parse_round_trip(f):
     assert P(f.to_text()) == f
+
+
+def test_constructor_takes_integers_only():
+    assert Poly({(1, 0): Fraction(4, 2), (0, 1): 3}, 2).terms == {(1, 0): 2, (0, 1): 3}
+    assert type(Poly({(1, 0): Fraction(4, 2)}, 2).coefficient((1, 0))) is int
+    with pytest.raises(ValueError, match="not an integer"):
+        Poly({(1, 0): Fraction(1, 2)}, 2)
+    assert Poly.zero(2).constant_term() == 0 and type(Poly.zero(2).coefficient((1, 1))) is int
+
+
+def _coefficient_text(c, k):
+    """c written as (c*k) * (1/(den*k)), so the parser sees a common factor k."""
+    return f"({c.numerator * k})*(1/{c.denominator * k})"
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_terms(), st.lists(st.integers(1, 4), min_size=6, max_size=6))
+def test_parse_gives_smallest_integer_multiple(terms, spread):
+    text = " + ".join(
+        f"{_coefficient_text(c, k)}*x^{i}*y^{j}"
+        for ((i, j), c), k in zip(sorted(terms.items()), spread)
+    ) or "0"
+    f = P(text)
+    assert all(type(c) is int for c in f.terms.values())
+    assert f.terms == smallest_integer_multiple(terms)
+    # integer text: exactly the reference's term map
+    integer_text = " + ".join(f"({c.numerator})*x^{i}*y^{j}" for (i, j), c in terms.items())
+    integer_terms = {e: c.numerator for e, c in terms.items()}
+    assert P(integer_text or "0").terms == integer_terms
+
+
+def fraction_shift(terms, var, offset):
+    """Reference for substitute_shift: the exact f(.., x_var + offset, ..) in
+    Fractions."""
+    out = {}
+    for e, c in terms.items():
+        k = e[var]
+        for j in range(k + 1):
+            ne = list(e)
+            ne[var] = j
+            ne = tuple(ne)
+            out[ne] = out.get(ne, 0) + c * comb(k, j) * Fraction(offset) ** (k - j)
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_polys(), st.integers(0, 1), st.integers(-12, 12), st.integers(1, 9))
+def test_substitute_shift_is_a_positive_multiple_of_the_exact_shift(f, var, p, q):
+    offset = Fraction(p, q)
+    g = f.substitute_shift(var, offset)
+    assert all(type(c) is int for c in g.terms.values())
+    ref = fraction_shift(f.terms, var, offset)
+    assert set(g.terms) == set(ref)
+    if not ref:
+        return
+    e0 = next(iter(ref))
+    ratio = g.terms[e0] / ref[e0]
+    assert ratio > 0
+    assert all(g.terms[e] == ratio * c for e, c in ref.items())
+    if offset.denominator == 1:
+        assert g.terms == ref
+    elif gcd(*f.terms.values()) == 1:
+        assert gcd(*g.terms.values()) == 1
+
+
+def test_substitute_shift_divides_out_its_content():
+    # 2 * (2*(y + 1/2) + x) = 2*(2*y + x + 1); without the division the
+    # content 2 would stay
+    f = P("2*y + x")
+    assert f.substitute_shift(1, Fraction(1, 2)).terms == {(0, 1): 2, (1, 0): 1, (0, 0): 1}
+
+
+def trinomial(n):
+    """(1 + x + y)^n by the multinomial theorem."""
+    return {
+        (i, j): factorial(n) // (factorial(i) * factorial(j) * factorial(n - i - j))
+        for i in range(n + 1) for j in range(n + 1 - i)
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8])
+def test_power_matches_trinomial_closed_form(n):
+    assert P(f"(1+x+y)^{n}").terms == trinomial(n)
+
+
+def test_large_power_parses_fast():
+    # the closed form at n = 80; the last squaring of binary powering is
+    # skipped, so parsing computes (1+x+y)^64 but not (1+x+y)^128
+    start = time.perf_counter()
+    f = P("(x^2+y^3)*(1+x+y)^80")
+    elapsed = time.perf_counter() - start
+    assert f == P("x^2+y^3") * Poly(trinomial(80), 2)
+    assert elapsed < 1.0, elapsed
 
 
 # -- Newton polygon ----------------------------------------------------------
@@ -299,23 +413,26 @@ def test_segment_face_coeffs():
 
 
 def up_to_constant(parts):
-    """Parts scaled to leading coefficient 1 in (y, x)-lex order."""
+    """Parts (Polys or term maps) scaled to leading coefficient 1 in (y, x)-lex
+    order, as term maps over Q."""
     out = []
     for p, m in parts:
-        lead = p.terms[max(p.terms, key=lambda e: (e[1], e[0]))]
-        out.append(({e: c / lead for e, c in p.terms.items()}, m))
+        terms = p.terms if isinstance(p, Poly) else p
+        lead = terms[max(terms, key=lambda e: (e[1], e[0]))]
+        out.append(({e: Fraction(c) / lead for e, c in terms.items()}, m))
     return out
 
 
 def sympy_germ_factors(f):
-    """germ_factors' contract, computed by sympy's sqf_list over QQ."""
+    """germ_factors' contract, computed by sympy's sqf_list over QQ, as term
+    maps with Fraction coefficients."""
     x, y = sympy.symbols("x y")
-    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+    terms = {e: sympy.Integer(c) for e, c in f.terms.items()}
     _, parts = sympy.Poly(terms, x, y, domain="QQ").sqf_list()
     out = []
     for part, m in parts:
-        p = Poly({e: Fraction(int(c.p), int(c.q)) for e, c in part.terms()}, 2)
-        if p.constant_term() == 0:
+        p = {e: Fraction(int(c.p), int(c.q)) for e, c in part.terms()}
+        if (0, 0) not in p:
             out.append((p, m))
     return out
 
