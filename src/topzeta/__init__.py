@@ -38,7 +38,6 @@ from .curve_resolution import (
 )
 from .errors import (
     Degenerate,
-    FaceMismatch,
     InvalidResolutionData,
     IrrationalCenter,
     NoQualifyingComponent,
@@ -52,9 +51,7 @@ from .errors import (
 from .polynomial import (
     NewtonPolygon,
     Poly,
-    face_poly,
     is_nondegenerate_curve,
-    is_reduced_isolated,
     newton_polygon_local,
     parse_poly,
 )

@@ -94,7 +94,8 @@ def resolve_germ(f, pipeline: str, allow_nonreduced=False):
             "germ is not reduced (a repeated factor passes through the origin); "
             "rerun with --allow-nonreduced to accept it"
         )
-    wanted = ["blowup", "toric"] if pipeline == "both" else [pipeline]
+    # toric first: it raises Degenerate at once, where the blowups may run long
+    wanted = ["toric", "blowup"] if pipeline == "both" else [pipeline]
     resolved = {}
     for name in wanted:
         if name == "blowup":
@@ -106,7 +107,8 @@ def resolve_germ(f, pipeline: str, allow_nonreduced=False):
             resolved[name] = (toric_resolution_data(f), None)
         else:
             raise InputError(f"pipeline {name!r} needs --file input")
-    return ("yes" if reduced else "no"), resolved
+    # reports list "blowup" before "toric"
+    return ("yes" if reduced else "no"), dict(sorted(resolved.items()))
 
 
 def analyze_germ(f, pipeline: str, allow_nonreduced=False, b_roots=None):
@@ -383,7 +385,7 @@ def cmd_explain(args) -> int:
     lines = [f"input: {args.poly}"]
     if "blowup" in resolved:
         rd, state = resolved["blowup"]
-        if state.is_identity:
+        if not state.history:
             lines.append("blowup: germ is smooth, identity resolution, 0 steps")
         else:
             lines.append(f"blowup: {len(state.history)} steps")

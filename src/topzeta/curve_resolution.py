@@ -1,8 +1,9 @@
 """Embedded resolution of plane-curve germs by iterated point blowups.
 
-The state of a resolution is a worklist of local charts, one per point that
-still violates normal crossings.  A chart is a germ at the origin of local
-coordinates (u, v): the strict transforms of the input's squarefree parts
+The state of a resolution is a worklist of pending centers, one per point
+that still violates normal crossings, and each center carries its own chart:
+a germ at the origin of local coordinates (u, v) made of the strict
+transforms of the input's squarefree parts, as (Poly, multiplicity) pairs,
 together with the exceptional divisors passing through the point, each of
 which is one of the two coordinate axes.  A squarefree part may hold several
 branches and a unit cofactor h with h(0) != 0: origin multiplicities add, the
@@ -24,9 +25,9 @@ Intersection points of strict transforms with the new exceptional curve are
 found exactly as the irreducible factors over Q of one-variable integer
 polynomials: a linear factor is a rational point, a factor of degree d an
 orbit of d conjugate points.  Rational points needing further blowups become
-new charts; conjugate orbits are kept as counts and may only appear where the
-configuration is already normal crossings, otherwise the resolution stops
-with ``IrrationalCenter``.
+new pending centers; conjugate orbits are kept as counts and may only appear
+where the configuration is already normal crossings, otherwise the resolution
+stops with ``IrrationalCenter``.
 """
 
 from __future__ import annotations
@@ -51,44 +52,21 @@ class NotReduced(TopZetaError):
 
 
 @dataclass(frozen=True)
-class ChartFactor:
-    poly: Poly          # strict transform of a squarefree part, vanishing at the chart origin
-    multiplicity: int   # exponent of this squarefree part in the input
-
-
-@dataclass(frozen=True)
-class LocalChart:
-    id: int
-    factors: tuple      # ChartFactor entries
-    axes: tuple         # (axis index, exceptional component id) pairs, len <= 2
-    description: str
-
-    def axis_map(self):
-        return dict(self.axes)
-
-
-@dataclass(frozen=True)
 class CenterOrbit:
     """A point (or Galois orbit of points) scheduled for blowup.
 
-    Rational centers (degree 1) reference a chart whose origin is the center.
-    Orbits of degree > 1 keep their irreducible defining polynomial instead;
-    they cannot be blown up over Q.
+    A rational center (degree 1) carries its chart, centred at the point:
+    ``factors`` holds (strict transform, multiplicity in the input) pairs
+    vanishing there, and ``axes`` the (axis index, exceptional Component)
+    pairs of the divisors through it.  An orbit of degree > 1 keeps only its
+    irreducible ``defining`` polynomial; it cannot be blown up over Q.
     """
 
-    chart_id: int
     degree: int
     description: str
+    factors: tuple = ()
+    axes: tuple = ()
     defining: tuple = ()   # coefficients of the defining polynomial, orbits only
-
-
-@dataclass(frozen=True)
-class ComponentRecord:
-    id: str
-    N: int
-    nu: int
-    kind: str           # "exceptional" | "branch"
-    orbit_degree: int   # branches: number of conjugate points; exceptional: 1
 
 
 @dataclass(frozen=True)
@@ -124,10 +102,10 @@ def _chart_b(poly: Poly, m: int) -> Poly:
     return out
 
 
-def _is_pending(factors, n_axes: int) -> bool:
+def _is_pending(mults, n_axes: int) -> bool:
     """Normal-crossings test for a germ with the given incident exceptional
-    axes.  factors: list of (ChartFactor, local multiplicity >= 1)."""
-    m_red = sum(mult for _, mult in factors)
+    axes.  mults: the local multiplicities of its factors."""
+    m_red = sum(mults)
     if m_red == 0:
         return False
     if m_red >= 2:
@@ -153,14 +131,11 @@ def _axis_contact_order(germ: Poly, axis: int) -> int:
 class BlowupState:
     """A resolution in progress; :func:`blowup_step` advances it in place."""
 
-    charts: dict = field(default_factory=dict)           # chart id -> LocalChart of a pending center
     pending_centers: list = field(default_factory=list)  # CenterOrbit entries, FIFO
-    components: list = field(default_factory=list)       # ComponentRecord entries in creation order
-    by_id: dict = field(default_factory=dict)            # component id -> ComponentRecord
+    components: list = field(default_factory=list)       # zeta_core.Component, creation order
+    branches: list = field(default_factory=list)         # (branch id, orbit degree)
     incidences: list = field(default_factory=list)       # (frozenset of two ids, orbit degree)
     history: list = field(default_factory=list)          # HistoryStep entries
-    is_identity: bool = False
-    created: dict = field(default_factory=lambda: {"E": 0, "B": 0, "chart": 0})
 
     def is_resolved(self) -> bool:
         return not self.pending_centers
@@ -169,34 +144,17 @@ class BlowupState:
         """The (N, nu) sequence of created exceptional components."""
         return [(h.N, h.nu) for h in self.history]
 
-    def _count(self, kind: str) -> int:
-        self.created[kind] += 1
-        return self.created[kind]
-
-    def _new_component(self, prefix, N, nu, kind, degree) -> str:
-        cid = f"{prefix}{self._count(prefix)}"
-        record = ComponentRecord(cid, N, nu, kind, degree)
-        self.components.append(record)
-        self.by_id[cid] = record
-        return cid
-
     def _new_branch(self, N, degree) -> str:
-        return self._new_component("B", N, 1, "branch", degree)
+        bid = f"B{len(self.branches) + 1}"
+        self.components.append(Component(bid, N, 1, True))
+        self.branches.append((bid, degree))
+        return bid
 
-    def _add_chart(self, factors, axes, description) -> int:
-        cid = self._count("chart")
-        for axis, _ in axes:
-            for cf in factors:
-                assert cf.poly.min_exponent(axis) == 0
-        self.charts[cid] = LocalChart(cid, tuple(factors), tuple(axes), description)
-        return cid
-
-    def _scan_chart_a(self, strict, new_id, old_axis1):
+    def _scan_chart_a(self, strict, new, old_axis1):
         rational = {}   # root t0 -> list of (factor index, multiplicity in G_k)
         orbits = {}     # irreducible primitive integer tuple -> list of (index, mult)
-        for k, cf in enumerate(strict):
-            g = cf.poly.restrict_to_zero(0)
-            for fac, mult in unipoly.factor_rational(g):
+        for k, (poly, _) in enumerate(strict):
+            for fac, mult in unipoly.factor_rational(poly.restrict_to_zero(0)):
                 if unipoly.degree(fac) == 1:
                     root = Fraction(-fac[0], fac[1])
                     rational.setdefault(root, []).append((k, mult))
@@ -207,72 +165,62 @@ class BlowupState:
 
         for t0 in sorted(rational):
             hits = rational[t0]
-            corner = old_axis1 if t0 == 0 and old_axis1 is not None else None
-            axes = [(0, new_id)] + ([(1, corner)] if corner else [])
+            corner = old_axis1 if t0 == 0 else None
+            axes = [(0, new)] + ([(1, corner)] if corner else [])
             if not hits:
                 # bare corner of two exceptional curves: already normal crossings
-                self.incidences.append((frozenset({new_id, corner}), 1))
+                self.incidences.append((frozenset({new.id, corner.id}), 1))
                 continue
             germs = [
-                ChartFactor(strict[k].poly.substitute_shift(1, t0), strict[k].multiplicity)
-                for k, _ in hits
+                (strict[k][0].substitute_shift(1, t0), strict[k][1]) for k, _ in hits
             ]
-            where = f"t={t0} on {new_id}" + (f", corner with {corner}" if corner else "")
-            self._dispatch_point(germs, axes, where, degree=1)
+            where = f"t={t0} on {new.id}" + (f", corner with {corner.id}" if corner else "")
+            self._dispatch_point(germs, axes, where)
 
         for fac in sorted(orbits, key=unipoly.monic_key):
             hits = orbits[fac]
             degree = unipoly.degree(fac)
-            pending = len(hits) >= 2 or any(mult >= 2 for _, mult in hits)
-            where = f"orbit of degree {degree} on {new_id}"
-            if pending:
-                self.pending_centers.append(
-                    CenterOrbit(
-                        chart_id=-1,
-                        degree=degree,
-                        description=where,
-                        defining=tuple(fac),
-                    )
-                )
+            if len(hits) >= 2 or any(mult >= 2 for _, mult in hits):
+                where = f"orbit of degree {degree} on {new.id}"
+                self.pending_centers.append(CenterOrbit(degree, where, defining=tuple(fac)))
             else:
                 (k, _), = hits
-                bid = self._new_branch(strict[k].multiplicity, degree)
-                self.incidences.append((frozenset({new_id, bid}), degree))
+                bid = self._new_branch(strict[k][1], degree)
+                self.incidences.append((frozenset({new.id, bid}), degree))
 
-    def _scan_chart_b(self, strict, new_id, old_axis0):
-        vanishing = [
-            (k, cf) for k, cf in enumerate(strict) if cf.poly.constant_term() == 0
-        ]
+    def _scan_chart_b(self, strict, new, old_axis0):
+        vanishing = [(poly, mult) for poly, mult in strict if poly.constant_term() == 0]
         if old_axis0 is None and not vanishing:
             return
-        axes = [(1, new_id)] + ([(0, old_axis0)] if old_axis0 is not None else [])
         if not vanishing:
-            self.incidences.append((frozenset({new_id, old_axis0}), 1))
+            self.incidences.append((frozenset({new.id, old_axis0.id}), 1))
             return
-        germs = [ChartFactor(cf.poly, cf.multiplicity) for _, cf in vanishing]
-        where = f"t=infinity on {new_id}" + (
-            f", corner with {old_axis0}" if old_axis0 is not None else ""
+        axes = [(1, new)] + ([(0, old_axis0)] if old_axis0 is not None else [])
+        where = f"t=infinity on {new.id}" + (
+            f", corner with {old_axis0.id}" if old_axis0 is not None else ""
         )
-        self._dispatch_point(germs, axes, where, degree=1)
+        self._dispatch_point(vanishing, axes, where)
 
-    def _dispatch_point(self, germs, axes, where, degree):
+    def _dispatch_point(self, germs, axes, where):
         """Classify a rational point: record a transverse branch crossing or
         queue another blowup."""
-        mults = [(cf, cf.poly.origin_multiplicity()) for cf in germs]
-        assert all(m >= 1 for _, m in mults)
+        mults = [poly.origin_multiplicity() for poly, _ in germs]
+        assert all(m >= 1 for m in mults)
         verdict = _is_pending(mults, len(axes))
         if verdict is None:
             (axis, _), = axes
-            verdict = _axis_contact_order(germs[0].poly, axis) >= 2
+            verdict = _axis_contact_order(germs[0][0], axis) >= 2
         if verdict:
-            cid = self._add_chart(germs, axes, where)
-            self.pending_centers.append(CenterOrbit(cid, degree, where))
+            for axis, _ in axes:
+                for poly, _ in germs:
+                    assert poly.min_exponent(axis) == 0
+            self.pending_centers.append(CenterOrbit(1, where, tuple(germs), tuple(axes)))
         else:
             # transverse smooth crossing of one branch with one divisor
-            (cf, _), = mults
+            (_, multiplicity), = germs
             ((_, divisor),) = axes
-            bid = self._new_branch(cf.multiplicity, degree)
-            self.incidences.append((frozenset({divisor, bid}), degree))
+            bid = self._new_branch(multiplicity, 1)
+            self.incidences.append((frozenset({divisor.id, bid}), 1))
 
 
 # -- public surface -------------------------------------------------------------
@@ -295,18 +243,15 @@ def initial_state(f: Poly, allow_nonreduced: bool = False, parts=None) -> Blowup
             "germ has a repeated factor through the origin; "
             "pass allow_nonreduced to accept it"
         )
-    chart_factors = tuple(ChartFactor(p, m) for p, m in parts)
-    mults = [(cf, cf.poly.origin_multiplicity()) for cf in chart_factors]
+    mults = [poly.origin_multiplicity() for poly, _ in parts]
     state = BlowupState()
     if _is_pending(mults, 0):
-        cid = state._add_chart(chart_factors, (), "origin")
-        state.pending_centers.append(CenterOrbit(cid, 1, "origin"))
+        state.pending_centers.append(CenterOrbit(1, "origin", tuple(parts)))
         return state
     # the germ is smooth: the identity map is already an embedded resolution,
     # with the single smooth branch carrying the origin
-    assert len(mults) == 1 and mults[0][1] == 1
-    state._new_branch(chart_factors[0].multiplicity, 1)
-    state.is_identity = True
+    assert mults == [1]
+    state._new_branch(parts[0][1], 1)
     return state
 
 
@@ -323,33 +268,34 @@ def blowup_step(state: BlowupState, center: CenterOrbit) -> BlowupState:
             "use the toric pipeline)"
         )
     state.pending_centers.remove(center)
-    chart = state.charts.pop(center.chart_id)
-    axes = chart.axis_map()
 
-    mults = [(cf, cf.poly.origin_multiplicity()) for cf in chart.factors]
-    m_full = sum(cf.multiplicity * m for cf, m in mults)
-    parents = sorted(axes.values())
-    N_new = m_full + sum(state.by_id[p].N for p in parents)
-    nu_new = 2 + sum(state.by_id[p].nu - 1 for p in parents)
-    new_id = state._new_component("E", N_new, nu_new, "exceptional", 1)
+    local = [(poly, mult, poly.origin_multiplicity()) for poly, mult in center.factors]
+    m_full = sum(mult * m for _, mult, m in local)
+    parents = sorted((c for _, c in center.axes), key=lambda c: c.id)
+    new = Component(
+        f"E{len(state.history) + 1}",
+        m_full + sum(c.N for c in parents),
+        2 + sum(c.nu - 1 for c in parents),
+        True,
+    )
+    state.components.append(new)
     state.history.append(
         HistoryStep(
             index=len(state.history) + 1,
-            component_id=new_id,
-            N=N_new,
-            nu=nu_new,
+            component_id=new.id,
+            N=new.N,
+            nu=new.nu,
             center=center.description,
-            parents=tuple(parents),
+            parents=tuple(c.id for c in parents),
             multiplicity=m_full,
         )
     )
 
+    axes = dict(center.axes)
     # chart A: directions b finite; old axis 0 escapes to chart B
-    strict_a = [ChartFactor(_chart_a(cf.poly, m), cf.multiplicity) for cf, m in mults]
-    state._scan_chart_a(strict_a, new_id, axes.get(1))
+    state._scan_chart_a([(_chart_a(p, m), mult) for p, mult, m in local], new, axes.get(1))
     # chart B: only its origin (the direction u = 0) is new
-    strict_b = [ChartFactor(_chart_b(cf.poly, m), cf.multiplicity) for cf, m in mults]
-    state._scan_chart_b(strict_b, new_id, axes.get(0))
+    state._scan_chart_b([(_chart_b(p, m), mult) for p, mult, m in local], new, axes.get(0))
     return state
 
 
@@ -402,23 +348,18 @@ def euler_strata(state: BlowupState):
     if not state.is_resolved():
         raise UnresolvedState("resolution has pending centers")
     return curve_strata(
-        [c.id for c in state.components if c.kind == "exceptional"],
-        [(c.id, c.orbit_degree) for c in state.components if c.kind == "branch"],
-        state.incidences,
+        [h.component_id for h in state.history], state.branches, state.incidences
     )
 
 
 def resolution_data(state: BlowupState) -> ResolutionData:
     """Package a finished state as resolution data for the zeta formula."""
-    comps = tuple(
-        Component(c.id, c.N, c.nu, True) for c in state.components
-    )
     return ResolutionData(
         ambient_dim=2,
-        components=comps,
+        components=tuple(state.components),
         strata=euler_strata(state),
         scope="local",
-        branch_ids=tuple(c.id for c in state.components if c.kind == "branch"),
+        branch_ids=tuple(bid for bid, _ in state.branches),
     )
 
 

@@ -21,10 +21,6 @@ class NonVanishingAtOrigin(TopZetaError):
     """The germ does not vanish at the origin, so local constructions are undefined."""
 
 
-class FaceMismatch(TopZetaError):
-    """A face was passed that does not belong to the polynomial's Newton polygon."""
-
-
 class Degenerate(TopZetaError):
     """The germ is degenerate with respect to its Newton polygon."""
 

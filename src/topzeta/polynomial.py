@@ -17,12 +17,7 @@ from math import gcd, lcm
 from operator import add
 
 from . import unipoly
-from .errors import (
-    FaceMismatch,
-    NonVanishingAtOrigin,
-    ParseError,
-    UnknownVariable,
-)
+from .errors import NonVanishingAtOrigin, ParseError, UnknownVariable
 
 
 class Poly:
@@ -165,15 +160,6 @@ class Poly:
         if not self.terms:
             raise ValueError("zero polynomial")
         return min(e[var] for e in self.terms)
-
-    def partial(self, var: int) -> "Poly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[var] > 0:
-                ne = list(e)
-                ne[var] -= 1
-                terms[tuple(ne)] = c * e[var]
-        return Poly._from_canonical(terms, self.num_vars)
 
     def substitute_shift(self, var: int, offset) -> "Poly":
         """A positive integer multiple of f(..., x_var + offset, ...).
@@ -556,15 +542,6 @@ def newton_polygon_local(f: Poly) -> NewtonPolygon:
     return NewtonPolygon(chain, faces)
 
 
-def face_poly(f: Poly, face: Face) -> Poly:
-    """Sub-sum of f over the support points lying on the given face."""
-    np_f = newton_polygon_local(f)
-    if face not in np_f.compact_faces:
-        raise FaceMismatch(f"{face!r} is not a face of this polynomial's polygon")
-    on_face = set(face.lattice_points())
-    return Poly({e: c for e, c in f.terms.items() if e in on_face}, f.num_vars)
-
-
 def segment_face_coeffs(f: Poly, face: Face) -> tuple[int, ...]:
     """Dehomogenization of the face polynomial of a segment face, as its
     primitive integer multiple.
@@ -709,12 +686,3 @@ def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
             terms = {(i, j): c for j, co in enumerate(part) for i, c in enumerate(co) if c}
             out.append((Poly._from_canonical(terms, 2), m))
     return out
-
-
-def is_reduced_isolated(f: Poly) -> bool:
-    """True iff the germ of f at the origin is reduced (square-free through the
-    origin).  Reduced plane-curve germs automatically have isolated singularities.
-
-    A squarefree part vanishes at the origin iff one of its irreducible factors
-    does, so reading reducedness off the parts is exact."""
-    return all(m == 1 for _, m in germ_factors(f))

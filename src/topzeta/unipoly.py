@@ -24,14 +24,6 @@ def degree(p) -> int:
     return len(p) - 1
 
 
-def evaluate(p, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def to_integer(p) -> tuple[int, ...]:
     """The primitive integer multiple, with positive leading coefficient, of
     the polynomial with rational coefficients p (ascending degree, trailing

@@ -192,12 +192,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def evaluate(self, x) -> Fraction:
-        denom = unipoly.evaluate(self.den, x)
-        if denom == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return unipoly.evaluate(self.num, x) / denom
-
     def pole_order(self, location) -> int:
         """Multiplicity of the rational ``location`` as a root of the
         denominator, found by exact integer division by its primitive form."""

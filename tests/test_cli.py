@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from topzeta import cli
 from topzeta.cli import build_parser, corpus_path_default, main
 
 DATA = Path(__file__).parent / "data"
@@ -240,6 +241,17 @@ def test_degenerate_reduced_germ_needs_blowup_pipeline(capsys):
     assert doc["results"]["blowup"]["conjecture4"]["passed"] is True
 
 
+def test_both_pipelines_fail_fast_on_degenerate_germ(capsys, monkeypatch):
+    # the toric side runs first and raises Degenerate before any blowup
+    def no_blowups(*args, **kwargs):
+        raise AssertionError("blowup resolution ran")
+
+    monkeypatch.setattr(cli, "resolve_curve_state", no_blowups)
+    code, out, err = run(capsys, "zeta", "--poly", "(y^2-x^3)^2+x^7")
+    assert code == 1 and out == ""
+    assert "degenerate" in err
+
+
 # -- determinism -----------------------------------------------------------------
 
 def test_machine_output_bit_stable(capsys):
@@ -320,6 +332,68 @@ def test_explain_smooth(capsys):
     code, out, _ = run(capsys, "explain", "--poly", "x + y^2", "--pipeline", "blowup")
     assert code == 0
     assert "identity resolution" in out
+
+
+# the whole blowup witness, byte for byte: step lines (centers, corners, the
+# parents each center lies on, ids) and the identity line
+@pytest.mark.parametrize("text,expected", [
+    ('x^2 + y^3', """\
+input: x^2 + y^3
+blowup: 3 steps
+  step 1: center origin, strict multiplicity 2 -> E1 with (N, nu) = (2, 2)
+  step 2: center t=infinity on E1 through E1, strict multiplicity 1 -> E2 with (N, nu) = (3, 3)
+  step 3: center t=0 on E2, corner with E1 through E1 and E2, strict multiplicity 1 -> E3 with (N, nu) = (6, 5)
+  components (id, N, nu):
+    E1: (2, 2)
+    E2: (3, 3)
+    E3: (6, 5)
+    B1: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {B1}: (0, 0)
+    {E1}: (1, 1)
+    {E2}: (1, 1)
+    {E3}: (-1, -1)
+    {B1, E3}: (1, 1)
+    {E1, E3}: (1, 1)
+    {E2, E3}: (1, 1)
+"""),
+    ('(y^2-x^3)^2+x^7', """\
+input: (y^2-x^3)^2+x^7
+blowup: 4 steps
+  step 1: center origin, strict multiplicity 4 -> E1 with (N, nu) = (4, 2)
+  step 2: center t=0 on E1 through E1, strict multiplicity 2 -> E2 with (N, nu) = (6, 3)
+  step 3: center t=infinity on E2, corner with E1 through E1 and E2, strict multiplicity 2 -> E3 with (N, nu) = (12, 5)
+  step 4: center t=1 on E3 through E3, strict multiplicity 2 -> E4 with (N, nu) = (14, 6)
+  components (id, N, nu):
+    E1: (4, 2)
+    E2: (6, 3)
+    E3: (12, 5)
+    E4: (14, 6)
+    B1: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {B1}: (0, 0)
+    {E1}: (1, 1)
+    {E2}: (1, 1)
+    {E3}: (-1, -1)
+    {E4}: (-1, -1)
+    {B1, E4}: (2, 2)
+    {E1, E3}: (1, 1)
+    {E2, E3}: (1, 1)
+    {E3, E4}: (1, 1)
+"""),
+    ('x + y^2', """\
+input: x + y^2
+blowup: germ is smooth, identity resolution, 0 steps
+  components (id, N, nu):
+    B1: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {B1}: (1, 1)
+"""),
+])
+def test_explain_blowup_golden(capsys, text, expected):
+    code, out, _ = run(capsys, "explain", "--poly", text, "--pipeline", "blowup")
+    assert code == 0
+    assert out == expected
 
 
 @pytest.mark.parametrize("pipeline", ["both", "blowup", "toric"])

@@ -117,7 +117,7 @@ def test_irrational_node_is_one_orbit():
 def test_smooth_germ_identity_resolution():
     for text in ["x", "x + y", "x + y^2"]:
         state = resolve_curve_state(P(text))
-        assert state.is_identity and state.numerical_history() == []
+        assert not state.history and state.numerical_history() == []
         rd = resolution_data(state)
         assert comp_map(rd) == {"B1": (1, 1)}
         assert chi_origin(rd, {"B1"}) == 1
@@ -256,7 +256,7 @@ def assert_chi_additive(rd, orbit, text):
 def test_additivity_and_recursions(text):
     state = resolve_curve_state(P(text))
     rd = resolution_data(state)
-    orbit = {c.id: c.orbit_degree for c in state.components if c.kind == "branch"}
+    orbit = dict(state.branches)
     assert_chi_additive(rd, orbit, text)
     # the toric pipeline builds its strata with the same helper; check it too
     if is_nondegenerate_curve(P(text)):
@@ -303,17 +303,19 @@ def test_total_transform_division_check():
     # N of every divisor equals the order of vanishing of the total transform,
     # reconstructed in the chart of each history step by explicit division
     state = resolve_curve_state(P("x^2 + y^3"))
-    # after step 1 the pending chart holds the strict transform plus axes;
-    # multiply back and divide by the exceptional coordinate exactly N times
-    mid = blowup_step(initial_state(P("x^2 + y^3")), initial_state(P("x^2 + y^3")).pending_centers[0])
-    (cid, chart), = mid.charts.items()
-    axis_map = dict(chart.axes)
+    # after step 1 the pending center's chart holds the strict transform plus
+    # axes; multiply back and divide by the exceptional coordinate exactly N times
+    start = initial_state(P("x^2 + y^3"))
+    mid = blowup_step(start, start.pending_centers[0])
+    (center,) = mid.pending_centers
+    assert [c.id for _, c in center.axes] == ["E1"]
     total = None
-    for cf in chart.factors:
-        part = cf.poly**cf.multiplicity
+    for poly, multiplicity in center.factors:
+        part = poly**multiplicity
         total = part if total is None else total * part
-    for axis, comp_id in axis_map.items():
-        N = next(c.N for c in mid.components if c.id == comp_id)
+    for axis, comp in center.axes:
+        N = next(c.N for c in mid.components if c.id == comp.id)
+        assert N == comp.N
         var_poly = P("x") if axis == 0 else P("y")
         lifted = total * var_poly**N
         assert lifted.min_exponent(axis) == N
@@ -357,9 +359,9 @@ def test_substitute_shift_exact():
 def test_every_chart_has_integer_coefficients(text, allow_nonreduced):
     state = initial_state(P(text), allow_nonreduced)
     while True:
-        for chart in state.charts.values():
-            for cf in chart.factors:
-                assert all(type(c) is int for c in cf.poly.terms.values()), chart.description
+        for center in state.pending_centers:
+            for poly, _ in center.factors:
+                assert all(type(c) is int for c in poly.terms.values()), center.description
         if not state.pending_centers:
             break
         blowup_step(state, state.pending_centers[0])
@@ -408,7 +410,7 @@ def test_euler_strata_direct():
 def test_blowup_step_requires_pending_center():
     from topzeta.curve_resolution import CenterOrbit
     state = initial_state(P("x*y"))
-    stranger = CenterOrbit(chart_id=99, degree=1, description="nowhere")
+    stranger = CenterOrbit(degree=1, description="nowhere")
     with pytest.raises(ValueError):
         blowup_step(state, stranger)
 

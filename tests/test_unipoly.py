@@ -62,14 +62,6 @@ def test_factor_rational_multiplicity():
     assert up.factor_rational([1, 2, 1]) == [((1, 1), 2)]
 
 
-@pytest.mark.parametrize("coeffs,x,value", [
-    ([1, 1, 1], 2, 7),
-    ([0, 0, 1], Fraction(1, 2), Fraction(1, 4)),
-])
-def test_evaluate(coeffs, x, value):
-    assert up.evaluate(coeffs, x) == value
-
-
 integer_factors = st.lists(st.integers(-30, 30), min_size=2, max_size=6).filter(lambda c: c[-1])
 
 
