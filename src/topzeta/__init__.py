@@ -4,7 +4,7 @@ Parse a plane-curve germ, resolve it by blowups or torically, evaluate the
 local zeta function exactly, and analyze its poles:
 
     >>> from topzeta import parse_poly, resolve_curve_germ, zeta_local
-    >>> f = parse_poly("x^2 + y^3", ["x", "y"])
+    >>> f = parse_poly("x^2 + y^3")
     >>> str(zeta_local(resolve_curve_germ(f)))
     '(4*s + 5) / (6*s^2 + 11*s + 5)'
 
@@ -37,6 +37,7 @@ from .curve_resolution import (
     resolve_curve_state,
 )
 from .errors import (
+    DegreeTooLarge,
     Degenerate,
     InvalidResolutionData,
     IrrationalCenter,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import TheoremViolation
-from .zeta_core import PoleTable, RationalFunction, ResolutionData, lct_local
+from .zeta_core import PoleTable, RationalFunction, ResolutionData, lct_global, lct_local
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,18 @@ def predicted_bfunction_divisor(n: int, N: int):
 
 
 def max_order_pole_report(
-    pt: PoleTable,
-    rd: ResolutionData,
-    isolated: str = "unknown",
-    scope: str = "local",
-    lct: Fraction | None = None,
+    pt: PoleTable, rd: ResolutionData, isolated: str = "unknown"
 ) -> Prediction:
     """Inspect a pole table for an order-n pole and emit the forced predictions.
 
-    An order-n pole that is not of the form -1/N, or not the closest candidate
-    -lct, contradicts facts that hold for every actual zeta function; that is
-    surfaced loudly as TheoremViolation rather than patched over.
+    The threshold is that of ``rd``'s scope: ``lct_global`` for global data,
+    ``lct_local`` otherwise.  An order-n pole that is not of the form -1/N, or
+    not the closest candidate -lct, contradicts facts that hold for every
+    actual zeta function; that is surfaced loudly as TheoremViolation rather
+    than patched over.
     """
     n = rd.ambient_dim
-    lct = lct_local(rd) if lct is None else lct
+    lct = lct_global(rd) if rd.scope == "global" else lct_local(rd)
     notes = []
     max_poles = pt.of_order(n)
     if not max_poles:
@@ -104,7 +102,7 @@ def max_order_pole_report(
         notes.append(f"divisor of total degree {n * N} forced into the b-function")
     else:
         notes.append("isolated hypothesis not established: divisor withheld")
-    if scope == "global":
+    if rd.scope == "global":
         notes.append(
             "global data: the divisor claim is for the b-function of the "
             "polynomial, the lcm of the local b-functions"

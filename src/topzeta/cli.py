@@ -31,7 +31,7 @@ from .polynomial import (
     parse_poly,
 )
 from .toric_curve import dual_fan, toric_resolution_data, unimodular_subdivide
-from .zeta_core import lct_global, lct_local, poles, zeta_global, zeta_local
+from .zeta_core import poles, zeta_global, zeta_local
 
 DEFAULT_CORPUS = "data/corpus.json"
 
@@ -45,14 +45,10 @@ class InputError(TopZetaError):
 
 def analyze_rd(rd, isolated: str, history=None, b_roots=None):
     """All derived values for one resolution data set."""
-    if rd.scope == "global":
-        z = zeta_global(rd)
-        lct = lct_global(rd)
-    else:
-        z = zeta_local(rd)
-        lct = lct_local(rd)
+    z = zeta_global(rd) if rd.scope == "global" else zeta_local(rd)
     pt = poles(z, rd)
-    prediction = max_order_pole_report(pt, rd, isolated=isolated, scope=rd.scope, lct=lct)
+    prediction = max_order_pole_report(pt, rd, isolated=isolated)
+    lct = prediction.lct
     eigen = monodromy_eigenvalues_germ(rd)
     return {
         "rd": rd,
@@ -74,7 +70,7 @@ def analyze_rd(rd, isolated: str, history=None, b_roots=None):
 def analyze_poly(text: str, pipeline: str, allow_nonreduced=False, b_roots=None):
     """Run the requested pipelines on a two-variable polynomial germ given as
     text; returns the parsed germ and the results."""
-    f = parse_poly(text, ["x", "y"])
+    f = parse_poly(text)
     return f, analyze_germ(f, pipeline, allow_nonreduced, b_roots)
 
 
@@ -84,9 +80,8 @@ def resolve_germ(f, pipeline: str, allow_nonreduced=False):
     Every pipeline needs a reduced germ unless ``allow_nonreduced`` is set.
     Returns the isolated flag and {pipeline: (resolution data, blowup state
     or None)}."""
-    if f.is_zero() or f.constant_term() != 0:
-        raise InputError("input must be a non-zero germ vanishing at the origin")
-    # one squarefree decomposition serves the reducedness test and the blowups
+    # one squarefree decomposition checks the germ and serves the reducedness
+    # test and the blowups
     parts = germ_factors(f)
     reduced = all(m == 1 for _, m in parts)
     if not reduced and not allow_nonreduced:
@@ -249,7 +244,7 @@ def evaluate_entry(entry: dict):
         ]
     source = entry["input"]
     if "poly" in source:
-        f = parse_poly(source["poly"], ["x", "y"])
+        f = parse_poly(source["poly"])
         pipeline = "both" if is_nondegenerate_curve(f) else "blowup"
         results = analyze_germ(
             f,
@@ -380,7 +375,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    f = parse_poly(args.poly, ["x", "y"])
+    f = parse_poly(args.poly)
     _, resolved = resolve_germ(f, args.pipeline, args.allow_nonreduced)
     lines = [f"input: {args.poly}"]
     if "blowup" in resolved:

@@ -36,12 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import unipoly
-from .errors import (
-    IrrationalCenter,
-    NonVanishingAtOrigin,
-    TopZetaError,
-    UnresolvedState,
-)
+from .errors import IrrationalCenter, TopZetaError, UnresolvedState
 from .polynomial import Poly, germ_factors
 from .zeta_core import Component, ResolutionData, Stratum
 
@@ -87,7 +82,7 @@ def _chart_a(poly: Poly, m: int) -> Poly:
     """Strict transform in chart (u, v) = (a, a*b): exponent remap
     (i, j) -> (i + j - m, j), dividing out a^m exactly."""
     terms = {(i + j - m, j): c for (i, j), c in poly.terms.items()}
-    out = Poly._from_canonical(terms, 2)
+    out = Poly._from_canonical(terms)
     if out.min_exponent(0) != 0:
         raise AssertionError("inexact division by the exceptional coordinate")
     return out
@@ -96,7 +91,7 @@ def _chart_a(poly: Poly, m: int) -> Poly:
 def _chart_b(poly: Poly, m: int) -> Poly:
     """Strict transform in chart (u, v) = (a*b, b): (i, j) -> (i, i + j - m)."""
     terms = {(i, i + j - m): c for (i, j), c in poly.terms.items()}
-    out = Poly._from_canonical(terms, 2)
+    out = Poly._from_canonical(terms)
     if out.min_exponent(1) != 0:
         raise AssertionError("inexact division by the exceptional coordinate")
     return out
@@ -227,15 +222,9 @@ class BlowupState:
 
 
 def initial_state(f: Poly, allow_nonreduced: bool = False, parts=None) -> BlowupState:
-    """Set up the origin chart for a two-variable germ and decide whether any
-    blowup is needed at all.  ``parts`` is ``germ_factors(f)`` when the caller
-    has already computed it."""
-    if f.num_vars != 2:
-        raise ValueError("resolution needs a 2-variable polynomial")
-    if f.is_zero():
-        raise NonVanishingAtOrigin("the zero polynomial is not a germ")
-    if f.constant_term() != 0:
-        raise NonVanishingAtOrigin("germ does not vanish at the origin")
+    """Set up the origin chart for a germ and decide whether any blowup is
+    needed at all.  ``parts`` is ``germ_factors(f)`` when the caller has
+    already computed it, and so checked that f is a germ."""
     if parts is None:
         parts = germ_factors(f)
     if not allow_nonreduced and any(m > 1 for _, m in parts):

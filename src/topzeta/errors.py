@@ -25,6 +25,11 @@ class Degenerate(TopZetaError):
     """The germ is degenerate with respect to its Newton polygon."""
 
 
+class DegreeTooLarge(TopZetaError):
+    """The germ's degree is beyond what a dense row of its squarefree
+    decomposition can hold."""
+
+
 class IrrationalCenter(TopZetaError):
     """A blowup center is a Galois orbit of degree > 1; point blowups over Q cannot
     continue.  For non-degenerate germs the toric pipeline is the usual way out."""

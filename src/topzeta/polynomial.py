@@ -1,45 +1,43 @@
-"""Sparse multivariate polynomials over Z, Newton polygons and germ tests.
+"""Sparse polynomials in x, y over Z, Newton polygons and germ tests.
 
 The ``Poly`` type is the input data model for the whole package: germs of
 plane curves are parsed into it, the Newton polygon is read off its support,
 and both resolution pipelines consume it.  Coefficients are Python ints and
 are never divided except by a common factor: a germ's zero set does not
 change under scaling, so rational input is cleared to an integer multiple
-once, at parse time.  A polynomial is a canonical map from exponent vectors
+once, at parse time.  A polynomial is a canonical map from exponent pairs
 to non-zero coefficients.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from . import unipoly
-from .errors import NonVanishingAtOrigin, ParseError, UnknownVariable
+from .errors import DegreeTooLarge, NonVanishingAtOrigin, ParseError, UnknownVariable
 
 
 class Poly:
-    """Immutable sparse polynomial in ``num_vars`` variables over Z.
+    """Immutable sparse polynomial in x, y over Z.
 
-    ``terms`` maps exponent tuples to non-zero ``int`` coefficients; two
-    polynomials are equal iff their term maps are equal, so the representation
-    is canonical by construction.  The constructor takes an ``int`` or an
-    integral ``Fraction`` per term and raises ``ValueError`` on a non-integral
-    coefficient.
+    ``terms`` maps exponent pairs (i, j), for x^i*y^j, to non-zero ``int``
+    coefficients; two polynomials are equal iff their term maps are equal, so
+    the representation is canonical by construction.  The constructor takes
+    an ``int`` or an integral ``Fraction`` per term and raises ``ValueError``
+    on a non-integral coefficient or an exponent vector that is not a pair.
     """
 
-    __slots__ = ("terms", "num_vars")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms, num_vars: int):
-        if num_vars < 1:
-            raise ValueError("num_vars must be positive")
+    def __init__(self, terms):
         clean = {}
         for exps, coeff in dict(terms).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != num_vars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps}")
+            if len(exps) != 2 or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent pair {exps}")
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
                 if coeff.denominator != 1:
@@ -48,16 +46,13 @@ class Poly:
             if coeff:
                 clean[exps] = coeff
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "num_vars", num_vars)
 
     @classmethod
-    def _from_canonical(cls, terms: dict, num_vars: int) -> "Poly":
-        """Wrap a term map that is already canonical (exponent tuples of
-        length ``num_vars`` to non-zero ints), skipping the checks of the
-        public constructor."""
+    def _from_canonical(cls, terms: dict) -> "Poly":
+        """Wrap a term map that is already canonical (exponent pairs to
+        non-zero ints), skipping the checks of the public constructor."""
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "num_vars", num_vars)
         return self
 
     def __setattr__(self, name, value):
@@ -66,25 +61,14 @@ class Poly:
     # -- ring structure ----------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int) -> "Poly":
-        return cls({}, num_vars)
+    def zero(cls) -> "Poly":
+        return cls._from_canonical({})
 
     @classmethod
-    def constant(cls, c, num_vars: int) -> "Poly":
-        return cls({(0,) * num_vars: c}, num_vars)
-
-    @classmethod
-    def variable(cls, index: int, num_vars: int) -> "Poly":
-        exps = [0] * num_vars
-        exps[index] = 1
-        return cls._from_canonical({tuple(exps): 1}, num_vars)
-
-    def _check_compat(self, other: "Poly"):
-        if self.num_vars != other.num_vars:
-            raise ValueError("mixed variable counts")
+    def constant(cls, c) -> "Poly":
+        return cls({(0, 0): c})
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_compat(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             c += terms.get(e, 0)
@@ -92,27 +76,26 @@ class Poly:
                 terms[e] = c
             else:
                 del terms[e]
-        return Poly._from_canonical(terms, self.num_vars)
+        return Poly._from_canonical(terms)
 
     def __neg__(self) -> "Poly":
-        return Poly._from_canonical({e: -c for e, c in self.terms.items()}, self.num_vars)
+        return Poly._from_canonical({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compat(other)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                e = (i1 + i2, j1 + j2)
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly._from_canonical({e: c for e, c in terms.items() if c}, self.num_vars)
+        return Poly._from_canonical({e: c for e, c in terms.items() if c})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        out = Poly.constant(1, self.num_vars)
+        out = Poly.constant(1)
         base = self
         while n:
             if n & 1:
@@ -123,17 +106,13 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
+        return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        return f"Poly({self.to_text()!r}, num_vars={self.num_vars})"
+        return f"Poly({self.to_text()!r})"
 
     # -- queries -----------------------------------------------------------
 
@@ -147,7 +126,7 @@ class Poly:
         return self.terms.get(tuple(exps), 0)
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.num_vars, 0)
+        return self.terms.get((0, 0), 0)
 
     def origin_multiplicity(self) -> int:
         """Order of vanishing at the origin (min total degree); -1 for zero."""
@@ -204,12 +183,11 @@ class Poly:
             content = gcd(*terms.values())
             if content > 1:
                 terms = {e: c // content for e, c in terms.items()}
-        return Poly._from_canonical(terms, self.num_vars)
+        return Poly._from_canonical(terms)
 
     def restrict_to_zero(self, var: int) -> tuple[int, ...]:
-        """Set x_var = 0 in a 2-variable polynomial; return the primitive
-        integer multiple of the other variable's coefficient list."""
-        assert self.num_vars == 2
+        """Set x_var = 0; return the primitive integer multiple of the other
+        variable's coefficient list."""
         other = 1 - var
         coeffs = {}
         for e, c in self.terms.items():
@@ -222,10 +200,8 @@ class Poly:
             out[k] = c
         return unipoly.to_integer(out)
 
-    def to_text(self, variables=None) -> str:
+    def to_text(self, variables=("x", "y")) -> str:
         """Deterministic text form, re-parsable by :func:`parse_poly`."""
-        if variables is None:
-            variables = _default_names(self.num_vars)
         if not self.terms:
             return "0"
         pieces = []
@@ -248,12 +224,6 @@ class Poly:
         head = pieces[0]
         head = "-" + head[2:] if head.startswith("- ") else head[2:]
         return " ".join([head] + pieces[1:])
-
-
-def _default_names(n: int) -> list[str]:
-    if n <= 3:
-        return ["x", "y", "z"][:n]
-    return [f"x{i + 1}" for i in range(n)]
 
 
 # -- parsing ---------------------------------------------------------------
@@ -295,7 +265,7 @@ def _scale(f: Poly, k: int) -> Poly:
     """k*f for a non-zero integer k."""
     if k == 1:
         return f
-    return Poly._from_canonical({e: c * k for e, c in f.terms.items()}, f.num_vars)
+    return Poly._from_canonical({e: c * k for e, c in f.terms.items()})
 
 
 class _Parser:
@@ -318,12 +288,11 @@ class _Parser:
 
     MAX_NESTING = 100
 
-    def __init__(self, tokens, variables, num_vars):
+    def __init__(self, tokens, x, y):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
-        self.vars = {name: k for k, name in enumerate(variables)}
-        self.num_vars = num_vars
+        self.vars = {x: (1, 0), y: (0, 1)}
 
     def peek(self):
         return self.tokens[self.i]
@@ -394,11 +363,11 @@ class _Parser:
     def atom(self) -> tuple[Poly, int]:
         kind, val, pos = self.advance()
         if kind == "number":
-            return Poly.constant(val.numerator, self.num_vars), val.denominator
+            return Poly.constant(val.numerator), val.denominator
         if kind == "name":
             if val not in self.vars:
                 raise UnknownVariable(f"unknown variable {val!r}", pos)
-            return Poly.variable(self.vars[val], self.num_vars), 1
+            return Poly._from_canonical({self.vars[val]: 1}), 1
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > self.MAX_NESTING:
@@ -412,58 +381,44 @@ class _Parser:
         raise ParseError("expected a number, variable or '('", pos)
 
 
-def parse_poly(text: str, variables) -> Poly:
-    """Parse polynomial text over the named variables into a canonical Poly.
+def parse_poly(text: str, variables=("x", "y")) -> Poly:
+    """Parse polynomial text in two named variables into a canonical Poly.
 
     The text denotes f with rational coefficients; the result is L*f, where L
     is the least common multiple of the denominators of f's coefficients, so
     the smallest positive integer multiple of f and f itself when every
     coefficient is an integer.  With f = g/d from the parser, L = d/c for
     c = gcd(content(g), d), and L*f = g/c."""
-    variables = list(variables)
-    if len(set(variables)) != len(variables):
-        raise ValueError("duplicate variable names")
-    g, d = _Parser(_tokenize(text), variables, len(variables)).parse()
+    variables = tuple(variables)
+    if len(variables) != 2 or variables[0] == variables[1]:
+        raise ValueError("a germ needs two distinct variable names")
+    g, d = _Parser(_tokenize(text), *variables).parse()
     c = gcd(d, *g.terms.values())
     if c == 1:
         return g
-    return Poly._from_canonical({e: v // c for e, v in g.terms.items()}, g.num_vars)
+    return Poly._from_canonical({e: v // c for e, v in g.terms.items()})
 
 
 # -- Newton polygon --------------------------------------------------------
 
 
-class Face:
-    """A compact face of a local Newton polygon: a vertex, or a segment with its
-    primitive inner normal (a, b) and value N = min a*i + b*j over the support."""
+class Segment:
+    """A compact edge of a local Newton polygon, from ``points[0]`` to
+    ``points[1]`` (x descending), with its primitive inner normal (a, b) and
+    value N = min a*i + b*j over the support."""
 
-    __slots__ = ("kind", "points", "normal", "value")
+    __slots__ = ("points", "normal", "value")
 
-    def __init__(self, kind, points, normal=None, value=None):
-        self.kind = kind
+    def __init__(self, points, normal, value):
         self.points = tuple(points)
         self.normal = normal
         self.value = value
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Face)
-            and (self.kind, self.points, self.normal, self.value)
-            == (other.kind, other.points, other.normal, other.value)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.points, self.normal, self.value))
-
     def __repr__(self):
-        if self.kind == "vertex":
-            return f"Face(vertex {self.points[0]})"
-        return f"Face(segment {self.points[0]}..{self.points[-1]}, normal={self.normal}, N={self.value})"
+        return f"Segment({self.points[0]}..{self.points[1]}, normal={self.normal}, N={self.value})"
 
     def lattice_points(self):
-        """All lattice points on the face, endpoint to endpoint."""
-        if self.kind == "vertex":
-            return list(self.points)
+        """All lattice points on the segment, endpoint to endpoint."""
         (x1, y1), (x2, y2) = self.points
         g = gcd(abs(x2 - x1), abs(y2 - y1))
         dx, dy = (x2 - x1) // g, (y2 - y1) // g
@@ -471,29 +426,16 @@ class Face:
 
 
 class NewtonPolygon:
-    """Convex-hull data of supp(f) + R^2_{>=0} for a two-variable germ.
+    """Convex-hull data of supp(f) + R^2_{>=0} for a germ.
 
     ``vertices`` runs from the x-extreme vertex to the y-extreme vertex
-    (x descending); ``compact_faces`` lists vertex faces first, then segment
-    faces in the same sweep order (normals (a, b) by increasing a/b).
+    (x descending); ``segments`` joins consecutive vertices in the same sweep
+    order (normals (a, b) by increasing a/b).
     """
 
-    def __init__(self, vertices, compact_faces):
+    def __init__(self, vertices, segments):
         self.vertices = tuple(tuple(v) for v in vertices)
-        self.compact_faces = tuple(compact_faces)
-
-    def segments(self):
-        return [f for f in self.compact_faces if f.kind == "segment"]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NewtonPolygon)
-            and self.vertices == other.vertices
-            and self.compact_faces == other.compact_faces
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.compact_faces))
+        self.segments = tuple(segments)
 
     def __repr__(self):
         return f"NewtonPolygon(vertices={list(self.vertices)})"
@@ -507,13 +449,11 @@ def _require_local_germ(f: Poly):
 
 
 def newton_polygon_local(f: Poly) -> NewtonPolygon:
-    """Newton polygon at the origin of a two-variable germ.
+    """Newton polygon at the origin of a germ.
 
     Only points not dominated componentwise by another support point can be
     vertices; among those the convex chain towards the origin survives.
     """
-    if f.num_vars != 2:
-        raise ValueError("newton_polygon_local needs a 2-variable polynomial")
     _require_local_germ(f)
     pts = f.support()
     staircase = [
@@ -531,42 +471,38 @@ def newton_polygon_local(f: Poly) -> NewtonPolygon:
             else:
                 break
         chain.append(p)
-    faces = [Face("vertex", [v]) for v in chain]
+    segments = []
     for p, q in zip(chain, chain[1:]):
         a, b = q[1] - p[1], p[0] - q[0]  # inner normal; both positive on this chain
         g = gcd(a, b)
         a, b = a // g, b // g
         value = a * p[0] + b * p[1]
         assert all(a * i + b * j >= value for (i, j) in pts)
-        faces.append(Face("segment", [p, q], normal=(a, b), value=value))
-    return NewtonPolygon(chain, faces)
+        segments.append(Segment([p, q], (a, b), value))
+    return NewtonPolygon(chain, segments)
 
 
-def segment_face_coeffs(f: Poly, face: Face) -> tuple[int, ...]:
-    """Dehomogenization of the face polynomial of a segment face, as its
-    primitive integer multiple.
+def segment_face_coeffs(f: Poly, seg: Segment) -> tuple[int, ...]:
+    """Dehomogenization of the face polynomial of a segment, as its primitive
+    integer multiple.
 
     Walking the lattice points of the segment from the x-extreme end gives the
     coefficient list; the result always has a non-zero constant term because
     segment endpoints are support points.
     """
-    assert face.kind == "segment"
-    return unipoly.to_integer([f.coefficient(p) for p in face.lattice_points()])
+    return unipoly.to_integer([f.coefficient(p) for p in seg.lattice_points()])
 
 
 def is_nondegenerate_curve(f: Poly) -> bool:
-    """Newton non-degeneracy for two-variable germs, decided exactly.
+    """Newton non-degeneracy for germs, decided exactly.
 
-    Vertex faces are monomials and never obstruct.  A segment face obstructs
-    iff its dehomogenized face polynomial g has a repeated non-zero root.
-    The segment's endpoints are support points, so g(0) != 0 and every
-    repeated root is non-zero: the test is whether gcd(g, g') is non-constant.
+    Vertices are monomials and never obstruct.  A segment obstructs iff its
+    dehomogenized face polynomial g has a repeated non-zero root.  The
+    segment's endpoints are support points, so g(0) != 0 and every repeated
+    root is non-zero: the test is whether gcd(g, g') is non-constant.
     """
-    if f.num_vars != 2:
-        raise ValueError("is_nondegenerate_curve needs a 2-variable polynomial")
-    _require_local_germ(f)
-    for face in newton_polygon_local(f).segments():
-        g = segment_face_coeffs(f, face)
+    for seg in newton_polygon_local(f).segments:
+        g = segment_face_coeffs(f, seg)
         if len(unipoly.gcd(g, unipoly.zz_derivative(g))[0]) > 1:
             return False
     return True
@@ -575,7 +511,12 @@ def is_nondegenerate_curve(f: Poly) -> bool:
 # -- reducedness and square-free structure ----------------------------------
 #
 # Z[x][y] is held as lists over the power of y of unipoly's integer
-# polynomials in x, with no trailing zeros.
+# polynomials in x, with no trailing zeros.  These rows are germ_factors'
+# private working form: a Poly is converted into rows and back only there.
+
+# No list longer than this can be allocated: its pointer array would need
+# more than sys.maxsize bytes, and CPython refuses it at once.
+_MAX_ROW = sys.maxsize // 8
 
 
 def _zx_sub(a: list, b: list) -> list:
@@ -662,13 +603,17 @@ def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
     multiplicity.  Parts are primitive over Z, so they equal the parts over Q
     up to a constant factor.
     """
-    if f.num_vars != 2:
-        raise ValueError("germ_factors needs a 2-variable polynomial")
     _require_local_germ(f)
     ints = dict(zip(f.terms, unipoly.to_integer(tuple(f.terms.values()))))
     width = {}
     for i, j in ints:
         width[j] = max(width.get(j, 0), i + 1)
+    longest = max(1 + max(width), *width.values())
+    if longest > _MAX_ROW:
+        raise DegreeTooLarge(
+            f"degree {longest - 1} in one variable is too large: the squarefree "
+            f"decomposition needs a dense row of {longest} coefficients"
+        )
     rows = [[0] * width.get(j, 0) for j in range(1 + max(width))]
     for (i, j), c in ints.items():
         rows[j][i] = c
@@ -684,5 +629,5 @@ def germ_factors(f: Poly) -> list[tuple[Poly, int]]:
         part = parts[m]
         if not part[0] or not part[0][0]:  # vanishes at the origin
             terms = {(i, j): c for j, co in enumerate(part) for i, c in enumerate(co) if c}
-            out.append((Poly._from_canonical(terms, 2), m))
+            out.append((Poly._from_canonical(terms), m))
     return out

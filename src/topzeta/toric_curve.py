@@ -61,9 +61,7 @@ def _value(vector, vertices) -> int:
 def dual_fan(np_f: NewtonPolygon) -> Fan2D:
     """Rays (1,0), (0,1) and the segment normals of the polygon, angle-ordered,
     each with N and sigma."""
-    vectors = [(1, 0), (0, 1)]
-    for seg in np_f.segments():
-        vectors.append(seg.normal)
+    vectors = [(1, 0), (0, 1)] + [seg.normal for seg in np_f.segments]
     # all vectors distinct and primitive; sort by angle, exactly
     vectors.sort(key=lambda v: (2, 0) if v[0] == 0 else (1, Fraction(v[1], v[0])))
     rays = tuple(
@@ -156,7 +154,7 @@ def toric_resolution_data(f: Poly) -> ResolutionData:
     np_f = newton_polygon_local(f)
     faces = [
         (seg, unipoly.factor_rational(segment_face_coeffs(f, seg)))
-        for seg in np_f.segments()
+        for seg in np_f.segments
     ]
     if any(mult > 1 for _, factors in faces for _, mult in factors):
         raise Degenerate(

@@ -18,7 +18,7 @@ from topzeta.analysis import (
     monodromy_eigenvalues_germ,
     predicted_bfunction_divisor,
 )
-from topzeta.cli import analyze_poly
+from topzeta.cli import analyze_poly, analyze_rd
 from topzeta.curve_resolution import resolve_curve_germ
 from topzeta.errors import TheoremViolation
 from topzeta.polynomial import parse_poly
@@ -29,8 +29,11 @@ from topzeta.zeta_core import (
     RationalFunction,
     ResolutionData,
     Stratum,
+    lct_global,
+    lct_local,
     monomial_resolution_data,
     poles,
+    zeta_global,
     zeta_local,
 )
 
@@ -403,14 +406,29 @@ def test_global_max_order_prediction_notes():
     comps = (Component("E1", 3, 1), Component("E2", 3, 1))
     strata = (Stratum(frozenset({"E1", "E2"}), 1, 0),)
     rd = ResolutionData(2, comps, strata, scope="global")
-    from topzeta.zeta_core import lct_global, zeta_global
-
     z = zeta_global(rd)
     assert z == RationalFunction((1,), (1, 6, 9))
     pt = poles(z, rd)
-    pred = max_order_pole_report(
-        pt, rd, isolated="yes", scope="global", lct=lct_global(rd)
-    )
-    assert pred.s0 == F(-1, 3) and pred.N == 3
+    pred = max_order_pole_report(pt, rd, isolated="yes")
+    assert pred.s0 == F(-1, 3) and pred.N == 3 and pred.lct == lct_global(rd)
     assert pred.divisor_roots == ((F(-1, 3), 2), (F(-2, 3), 2), (F(-1), 2))
     assert any("lcm of the local" in note for note in pred.notes)
+
+
+def test_global_report_takes_the_global_threshold():
+    # the order-2 pole -1/3 comes from components off the origin fibre: it is
+    # minus the global threshold 1/3, while the local threshold is 1
+    comps = (
+        Component("E1", 3, 1, False),
+        Component("E2", 3, 1, False),
+        Component("E3", 1, 1, True),
+    )
+    strata = (Stratum(frozenset({"E1", "E2"}), 1, 0), Stratum(frozenset({"E3"}), 1, 1))
+    rd = ResolutionData(2, comps, strata, scope="global")
+    assert lct_local(rd) == 1 and lct_global(rd) == F(1, 3)
+    pt = poles(zeta_global(rd), rd)
+    pred = max_order_pole_report(pt, rd)
+    assert pred.s0 == F(-1, 3) and pred.N == 3 and pred.lct == F(1, 3)
+    assert any("lcm of the local" in note for note in pred.notes)
+    res = analyze_rd(rd, "unknown")
+    assert res["lct"] == F(1, 3) and res["prediction"].s0 == F(-1, 3)

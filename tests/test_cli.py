@@ -121,6 +121,36 @@ def test_zeta_unknown_variable(capsys):
 def test_zeta_nonvanishing_germ(capsys):
     code, _, err = run(capsys, "zeta", "--poly", "1 + x")
     assert code == 1
+    assert err == "error: germ does not vanish at the origin\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1 + x", "error: germ does not vanish at the origin\n"),
+    ("0", "error: the zero polynomial is not a germ\n"),
+    ("x*y - x*y", "error: the zero polynomial is not a germ\n"),
+])
+@pytest.mark.parametrize("pipeline", ["both", "blowup", "toric"])
+def test_zeta_non_germ(capsys, text, message, pipeline):
+    code, out, err = run(capsys, "zeta", "--poly", text, "--pipeline", pipeline)
+    assert (code, out, err) == (1, "", message)
+    code, out, err = run(capsys, "explain", "--poly", text, "--pipeline", pipeline)
+    assert (code, out, err) == (1, "", message)
+
+
+# the squarefree decomposition's dense rows could not even be allocated: with
+# 10^20 the length overflows an index, with 2^62 + 1 CPython refuses at once
+@pytest.mark.parametrize("text", [
+    "x^99999999999999999999+y^2",
+    "x^4611686018427387905+y^2",
+    "y^4611686018427387905+x^2",
+])
+@pytest.mark.parametrize("pipeline", ["both", "blowup", "toric"])
+def test_huge_exponent_is_a_typed_error(capsys, text, pipeline):
+    for command in ("zeta", "explain"):
+        code, out, err = run(capsys, command, "--poly", text, "--pipeline", pipeline)
+        assert code == 1 and out == ""
+        assert err.startswith("error: degree ") and err.count("\n") == 1
+        assert "too large" in err and "Traceback" not in err
 
 
 def test_theorem_violation_exit_code_2(capsys):
@@ -392,6 +422,113 @@ blowup: germ is smooth, identity resolution, 0 steps
 ])
 def test_explain_blowup_golden(capsys, text, expected):
     code, out, _ = run(capsys, "explain", "--poly", text, "--pipeline", "blowup")
+    assert code == 0
+    assert out == expected
+
+
+# the whole toric witness, byte for byte: the subdivided fan read off the
+# Newton polygon's segments, then the components and strata
+@pytest.mark.parametrize("text,expected", [
+    ('x^2 + y^3', """\
+input: x^2 + y^3
+toric: subdivided dual fan rays (vector, N, sigma)
+  (1, 0): N = 0, sigma = 1 [original]
+  (2, 1): N = 3, sigma = 3 [inserted]
+  (3, 2): N = 6, sigma = 5 [original]
+  (1, 1): N = 2, sigma = 2 [inserted]
+  (0, 1): N = 0, sigma = 1 [original]
+  components (id, N, nu):
+    E1: (3, 3)
+    E2: (6, 5)
+    E3: (2, 2)
+    B1: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {B1}: (0, 0)
+    {E1}: (1, 1)
+    {E2}: (-1, -1)
+    {E3}: (1, 1)
+    {B1, E2}: (1, 1)
+    {E1, E2}: (1, 1)
+    {E2, E3}: (1, 1)
+"""),
+    ('x*(x+y)', """\
+input: x*(x+y)
+toric: subdivided dual fan rays (vector, N, sigma)
+  (1, 0): N = 1, sigma = 1 [original]
+  (1, 1): N = 2, sigma = 2 [original]
+  (0, 1): N = 0, sigma = 1 [original]
+  components (id, N, nu):
+    Ax: (1, 1)
+    E1: (2, 2)
+    B1: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {Ax}: (0, 0)
+    {B1}: (0, 0)
+    {E1}: (0, 0)
+    {Ax, E1}: (1, 1)
+    {B1, E1}: (1, 1)
+"""),
+    ('(x^2+y^3)*(x^3+y^2)', """\
+input: (x^2+y^3)*(x^3+y^2)
+toric: subdivided dual fan rays (vector, N, sigma)
+  (1, 0): N = 0, sigma = 1 [original]
+  (2, 1): N = 5, sigma = 3 [inserted]
+  (3, 2): N = 10, sigma = 5 [original]
+  (1, 1): N = 4, sigma = 2 [inserted]
+  (2, 3): N = 10, sigma = 5 [original]
+  (1, 2): N = 5, sigma = 3 [inserted]
+  (0, 1): N = 0, sigma = 1 [original]
+  components (id, N, nu):
+    E1: (5, 3)
+    E2: (10, 5)
+    E3: (4, 2)
+    E4: (10, 5)
+    E5: (5, 3)
+    B1: (1, 1)
+    B2: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {B1}: (0, 0)
+    {B2}: (0, 0)
+    {E1}: (1, 1)
+    {E2}: (-1, -1)
+    {E3}: (0, 0)
+    {E4}: (-1, -1)
+    {E5}: (1, 1)
+    {B1, E4}: (1, 1)
+    {B2, E2}: (1, 1)
+    {E1, E2}: (1, 1)
+    {E2, E3}: (1, 1)
+    {E3, E4}: (1, 1)
+    {E4, E5}: (1, 1)
+"""),
+    ('x*(y^2-x^3)', """\
+input: x*(y^2-x^3)
+toric: subdivided dual fan rays (vector, N, sigma)
+  (1, 0): N = 1, sigma = 1 [original]
+  (1, 1): N = 3, sigma = 2 [inserted]
+  (2, 3): N = 8, sigma = 5 [original]
+  (1, 2): N = 4, sigma = 3 [inserted]
+  (0, 1): N = 0, sigma = 1 [original]
+  components (id, N, nu):
+    Ax: (1, 1)
+    E1: (3, 2)
+    E2: (8, 5)
+    E3: (4, 3)
+    B1: (1, 1)
+  strata (ids, chi_total, chi_origin):
+    {Ax}: (0, 0)
+    {B1}: (0, 0)
+    {E1}: (0, 0)
+    {E2}: (-1, -1)
+    {E3}: (1, 1)
+    {Ax, E1}: (1, 1)
+    {B1, E2}: (1, 1)
+    {E1, E2}: (1, 1)
+    {E2, E3}: (1, 1)
+"""),
+])
+def test_explain_toric_golden(capsys, text, expected):
+    code, out, _ = run(capsys, "explain", "--poly", text, "--pipeline", "toric")
     assert code == 0
     assert out == expected
 

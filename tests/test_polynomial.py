@@ -34,7 +34,7 @@ def test_parse_simple_terms():
 
 def test_parse_cancellation_to_zero():
     f = P("x*y - x*y")
-    assert f.is_zero() and f.num_vars == 2
+    assert f.is_zero() and f == Poly.zero()
 
 
 def test_parse_binomial_expansion():
@@ -118,7 +118,7 @@ def smallest_integer_multiple(terms):
 
 @st.composite
 def random_polys(draw):
-    return Poly(smallest_integer_multiple(draw(rational_terms())), 2)
+    return Poly(smallest_integer_multiple(draw(rational_terms())))
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,11 +128,30 @@ def test_print_parse_round_trip(f):
 
 
 def test_constructor_takes_integers_only():
-    assert Poly({(1, 0): Fraction(4, 2), (0, 1): 3}, 2).terms == {(1, 0): 2, (0, 1): 3}
-    assert type(Poly({(1, 0): Fraction(4, 2)}, 2).coefficient((1, 0))) is int
+    assert Poly({(1, 0): Fraction(4, 2), (0, 1): 3}).terms == {(1, 0): 2, (0, 1): 3}
+    assert type(Poly({(1, 0): Fraction(4, 2)}).coefficient((1, 0))) is int
     with pytest.raises(ValueError, match="not an integer"):
-        Poly({(1, 0): Fraction(1, 2)}, 2)
-    assert Poly.zero(2).constant_term() == 0 and type(Poly.zero(2).coefficient((1, 1))) is int
+        Poly({(1, 0): Fraction(1, 2)})
+    assert Poly.zero().constant_term() == 0 and type(Poly.zero().coefficient((1, 1))) is int
+    assert Poly.constant(3).terms == {(0, 0): 3} and Poly.constant(0).is_zero()
+
+
+@pytest.mark.parametrize("exps", [(1, 0, 0), (1,), (), (1, -1)])
+def test_constructor_takes_exponent_pairs_only(exps):
+    with pytest.raises(ValueError, match="bad exponent pair"):
+        Poly({exps: 1})
+
+
+@pytest.mark.parametrize("variables", [("x", "y", "z"), ("x",), ("x", "x"), ()])
+def test_parse_needs_two_distinct_names(variables):
+    with pytest.raises(ValueError, match="two distinct variable names"):
+        parse_poly("x", variables)
+
+
+def test_parse_names_its_two_variables():
+    assert parse_poly("u^2 + v^3", ["u", "v"]) == parse_poly("x^2 + y^3")
+    assert parse_poly("x^2 + y^3", ("y", "x")) == P("y^2 + x^3")
+    assert P("x^2*y - 3*y^4").to_text(("u", "v")) == "-3*v^4 + u^2*v"
 
 
 def _coefficient_text(c, k):
@@ -216,7 +235,7 @@ def test_large_power_parses_fast():
     start = time.perf_counter()
     f = P("(x^2+y^3)*(1+x+y)^80")
     elapsed = time.perf_counter() - start
-    assert f == P("x^2+y^3") * Poly(trinomial(80), 2)
+    assert f == P("x^2+y^3") * Poly(trinomial(80))
     assert elapsed < 1.0, elapsed
 
 
@@ -225,7 +244,7 @@ def test_large_power_parses_fast():
 def test_polygon_cusp():
     np_f = newton_polygon_local(P("x^2 + y^3"))
     assert np_f.vertices == ((2, 0), (0, 3))
-    segs = np_f.segments()
+    segs = np_f.segments
     assert len(segs) == 1
     assert segs[0].normal == (3, 2) and segs[0].value == 6
 
@@ -233,13 +252,13 @@ def test_polygon_cusp():
 def test_polygon_single_vertex():
     np_f = newton_polygon_local(P("x*y"))
     assert np_f.vertices == ((1, 1),)
-    assert np_f.segments() == []
+    assert np_f.segments == ()
 
 
 def test_polygon_point_on_face():
     np_f = newton_polygon_local(P("x^2 + x*y + y^2"))
     assert np_f.vertices == ((2, 0), (0, 2))
-    seg = np_f.segments()[0]
+    seg = np_f.segments[0]
     assert seg.normal == (1, 1) and seg.value == 2
     assert (1, 1) in seg.lattice_points()
 
@@ -248,7 +267,7 @@ def test_polygon_requires_vanishing():
     with pytest.raises(NonVanishingAtOrigin):
         newton_polygon_local(P("1 + x"))
     with pytest.raises(NonVanishingAtOrigin):
-        newton_polygon_local(Poly.zero(2))
+        newton_polygon_local(Poly.zero())
 
 
 @settings(max_examples=80, deadline=None)
@@ -257,10 +276,10 @@ def test_polygon_hull_contains_support(f):
     terms = {e: c for e, c in f.terms.items() if sum(e) > 0}
     if not terms:
         return
-    f = Poly(terms, 2)
+    f = Poly(terms)
     np_f = newton_polygon_local(f)
     # every support point weakly above every supporting line; vertices in support
-    for seg in np_f.segments():
+    for seg in np_f.segments:
         a, b = seg.normal
         assert all(a * i + b * j >= seg.value for (i, j) in f.support())
     assert set(np_f.vertices) <= set(f.support())
@@ -313,9 +332,10 @@ def test_nondegenerate_against_mod_p_sampler():
         if not verdict:
             continue
         np_f = newton_polygon_local(f)
-        for face in np_f.compact_faces:
+        faces = [[v] for v in np_f.vertices] + [s.lattice_points() for s in np_f.segments]
+        for face in faces:
             # the face polynomial: the sub-sum of f over the face's points
-            on_face = set(face.lattice_points())
+            on_face = set(face)
             ftau = {e: c for e, c in f.terms.items() if e in on_face}
             assert ftau
             fx, fy = _partial(ftau, 0), _partial(ftau, 1)
@@ -364,14 +384,14 @@ def test_germ_factors_keep_units_inside_parts():
 
 def test_segment_face_coeffs():
     f = P("x^2 + y^3")
-    seg = newton_polygon_local(f).segments()[0]
+    seg = newton_polygon_local(f).segments[0]
     assert segment_face_coeffs(f, seg) == (1, 1)
     g = P("x^2 + 2*x*y + y^2")
-    seg = newton_polygon_local(g).segments()[0]
+    seg = newton_polygon_local(g).segments[0]
     assert segment_face_coeffs(g, seg) == (1, 2, 1)
     # rational coefficients give the primitive integer multiple
     h = P("-1/2*x^2 + 3/4*y^3")
-    seg = newton_polygon_local(h).segments()[0]
+    seg = newton_polygon_local(h).segments[0]
     assert segment_face_coeffs(h, seg) == (-2, 3)
 
 
@@ -403,7 +423,7 @@ def sympy_germ_factors(f):
 small_bivariate = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9).filter(bool),
     min_size=1, max_size=4,
-).map(lambda terms: Poly(terms, 2))
+).map(Poly)
 
 
 @settings(max_examples=40, deadline=None)

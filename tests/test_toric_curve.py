@@ -213,7 +213,7 @@ def test_random_germ_pipeline_equivalence(terms):
     from topzeta.errors import IrrationalCenter
     from topzeta.polynomial import Poly, is_nondegenerate_curve
 
-    f = Poly(terms, 2)
+    f = Poly(terms)
     if f.is_zero() or f.constant_term() != 0:
         return
     if not is_nondegenerate_curve(f):
